@@ -129,9 +129,7 @@ def cmd_simulate_rus(args) -> int:
 def cmd_compile_trotter(args) -> int:
     schedule = compile_step(args.n, dt=args.dt, mode=args.mode)
     if args.timeline:
-        tmp = args.timeline + ".tmp"
-        schedule.timeline.export_jsonl(tmp)
-        os.replace(tmp, args.timeline)
+        write_atomic(args.timeline, schedule.timeline.to_jsonl())
     groups = sorted(schedule.rus_group_multiset().items())
     summary = {
         "rus_groups": [

@@ -8,6 +8,7 @@ half-clocks, so arbitrarily long schedules accumulate no floating-point drift.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 # Clock cost per operation kind.  This is data, not code.
@@ -26,10 +27,6 @@ CATALOG: dict[str, float] = {
     "zz_rotation_trial": 2.0,
     "joint_pauli_measurement": 1.0,
 }
-
-# Aggregate op kinds whose duration is schedule-dependent (repeat-until-success
-# rotation batches); they are exempt from the catalog-duration check.
-_VARIABLE_KINDS = {"rus_block_z", "rus_block_zz"}
 
 # Kinds realized as merge/split joint measurements: their participants must be
 # mutually connected on the grid.
@@ -71,8 +68,6 @@ Coord = tuple[int, int]
 class Patch:
     coord: Coord
     role: str  # "data" | "routing"
-    occupant: object = "free"  # "free" | ("orbital", site, spin) | "ancilla" | ("injection", pid)
-    busy_until: float = 0.0
 
 
 @dataclass
@@ -117,13 +112,10 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
         role = "data" if r in (0, 3) else "routing"
         for c in range(v):
             cells[(r, c)] = Patch((r, c), role)
-    for i in range(v):
-        cells[(0, i)].occupant = ("orbital", i, 0)
-        cells[(1, i)].occupant = ("orbital", i, 1)
     qpe = None
     if with_qpe_ancilla:
         qpe = (1, v)
-        cells[qpe] = Patch(qpe, "data", "ancilla")
+        cells[qpe] = Patch(qpe, "data")
     return PatchGrid(n, cells, qpe)
 
 
@@ -134,6 +126,8 @@ class SurgeryOp:
     duration: float  # clocks, 0.5 granularity
 
     def __post_init__(self) -> None:
+        if self.duration < 0:
+            raise ValueError(f"{self.kind} duration {self.duration} is negative")
         if self.kind in CATALOG and self.duration != CATALOG[self.kind]:
             raise ValueError(
                 f"{self.kind} duration {self.duration} does not match "
@@ -154,21 +148,24 @@ class Timeline:
     def horizon(self) -> float:
         return max((s + op.duration for s, op in self.ops), default=0.0)
 
-    def export_jsonl(self, path) -> None:
+    def to_jsonl(self) -> str:
         """One op per line with stable field order, for diffing."""
+        return "".join(
+            json.dumps(
+                {
+                    "start": start,
+                    "kind": op.kind,
+                    "participants": [list(c) for c in op.participants],
+                    "duration": op.duration,
+                }
+            )
+            + "\n"
+            for start, op in self.ops
+        )
+
+    def export_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for start, op in self.ops:
-                fh.write(
-                    json.dumps(
-                        {
-                            "start": start,
-                            "kind": op.kind,
-                            "participants": [list(c) for c in op.participants],
-                            "duration": op.duration,
-                        }
-                    )
-                )
-                fh.write("\n")
+            fh.write(self.to_jsonl())
 
 
 @dataclass(frozen=True)
@@ -187,21 +184,24 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     not connected through their own patches plus free routing patches at the
     start clock.  The verdict does not depend on op-list order: candidate
     conflicts are collected and the earliest (by clock, then coord) returned.
+
+    Cost: one sort of the ops, then an event sweep over the distinct start
+    clocks of merge ops.  The set of busy patches is kept incrementally and
+    the free routing set is built once per such clock, so the check is
+    O(ops log ops + clocks x routing patches) plus one search per merge op,
+    which stops as soon as it reaches all of the op's participants.
     """
     # deterministic op identity independent of insertion order
-    indexed = sorted(
-        range(len(timeline.ops)),
-        key=lambda i: (
-            timeline.ops[i][0],
-            timeline.ops[i][1].kind,
-            timeline.ops[i][1].participants,
-        ),
+    ordered = sorted(
+        timeline.ops, key=lambda so: (so[0], so[1].kind, so[1].participants)
     )
+    spans = []  # (s, e) half-clocks per rank
     conflicts: list[Conflict] = []
     intervals: dict[Coord, list[tuple[int, int, int]]] = {}
-    for rank, i in enumerate(indexed):
-        start, op = timeline.ops[i]
-        s, e = to_half(start), to_half(start) + to_half(op.duration)
+    for rank, (start, op) in enumerate(ordered):
+        s = to_half(start)
+        e = s + to_half(op.duration)
+        spans.append((s, e))
         for coord in op.participants:
             if not grid.in_bounds(coord):
                 conflicts.append(Conflict(start, coord, (rank,), "out of bounds"))
@@ -214,40 +214,59 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
                 conflicts.append(
                     Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
                 )
-    # connectivity of merge-type ops at their start clock
-    for rank, i in enumerate(indexed):
-        start, op = timeline.ops[i]
-        if op.kind not in _MERGE_KINDS or len(op.participants) < 2:
-            continue
-        if any(not grid.in_bounds(c) for c in op.participants):
-            continue
-        s = to_half(start)
-        busy = set()
-        for rank2, j in enumerate(indexed):
-            if rank2 == rank:
-                continue
-            st2, op2 = timeline.ops[j]
-            s2, e2 = to_half(st2), to_half(st2) + to_half(op2.duration)
-            if s2 <= s < e2:
-                busy.update(op2.participants)
-        allowed = set(op.participants) | {
-            c for c, p in grid.cells.items() if p.role == "routing" and c not in busy
-        }
-        seen = {op.participants[0]}
-        stack = [op.participants[0]]
-        while stack:
-            cur = stack.pop()
-            for nb in grid.neighbors(cur):
-                if nb in allowed and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        for coord in op.participants:
-            if coord not in seen:
-                conflicts.append(
-                    Conflict(start, coord, (rank,), "participants disconnected")
-                )
-                break
+    conflicts.extend(_disconnected_merges(ordered, spans, grid))
     if not conflicts:
         return None
-    conflicts.sort(key=lambda c: (c.clock, c.coord, c.op_indices))
-    return conflicts[0]
+    return min(conflicts, key=lambda c: (c.clock, c.coord, c.op_indices))
+
+
+def _disconnected_merges(ordered, spans, grid: PatchGrid):
+    """Connectivity of merge-type ops at their start clock, by event sweep.
+
+    Ranks are in start order.  A patch is busy at clock t when some op holds
+    it over [s, e) with s <= t < e; ops with e <= s never hold a patch.  The
+    merge op itself counts as busy too, which changes nothing: its own
+    participants are always allowed in its search.
+    """
+    merges = [
+        rank
+        for rank, (_, op) in enumerate(ordered)
+        if op.kind in _MERGE_KINDS
+        and len(op.participants) >= 2
+        and all(grid.in_bounds(c) for c in op.participants)
+    ]
+    if not merges:
+        return
+    routing = [c for c, p in grid.cells.items() if p.role == "routing"]
+    held = [rank for rank, (s, e) in enumerate(spans) if e > s]
+    by_end = sorted(held, key=lambda r: spans[r][1])
+    busy: Counter = Counter()
+    added = ended = 0
+    clock = None
+    for rank in merges:
+        if spans[rank][0] != clock:
+            clock = spans[rank][0]
+            while added < len(held) and spans[held[added]][0] <= clock:
+                busy.update(ordered[held[added]][1].participants)
+                added += 1
+            while ended < len(by_end) and spans[by_end[ended]][1] <= clock:
+                busy.subtract(ordered[by_end[ended]][1].participants)
+                ended += 1
+            free = {c for c in routing if busy[c] <= 0}
+        start, op = ordered[rank]
+        parts = op.participants
+        own = set(parts)
+        missing = own - {parts[0]}
+        seen = {parts[0]}
+        stack = [parts[0]]
+        while stack and missing:
+            cur = stack.pop()
+            for nb in grid.neighbors(cur):
+                if (nb in free or nb in own) and nb not in seen:
+                    seen.add(nb)
+                    missing.discard(nb)
+                    stack.append(nb)
+        for coord in parts:
+            if coord not in seen:
+                yield Conflict(start, coord, (rank,), "participants disconnected")
+                break

@@ -26,8 +26,6 @@ from .hubbard import (
 )
 from .rus import expected_trials
 
-# schedule-dependent aggregate kinds used in compiled timelines
-fabric._VARIABLE_KINDS.update({"xxyy_block"})
 
 XXYY_FIXED_CLOCKS = 9.0  # CNOT/Hadamard frame around the two rotation phases
 MOVE_CLOCKS = fabric.CATALOG["patch_move_layer"]

@@ -56,6 +56,16 @@ def test_compile_trotter_outputs(tmp_path):
     assert all(json.loads(line) for line in timeline.read_text().splitlines())
 
 
+def test_compile_trotter_timeline_written_atomically(tmp_path):
+    from starsched.trotter import compile_step
+
+    timeline = tmp_path / "timeline.jsonl"
+    code = run(["compile-trotter", "--n", "3", "--timeline", str(timeline)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["timeline.jsonl"]
+    assert timeline.read_text() == compile_step(3).timeline.to_jsonl()
+
+
 def test_estimate_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     assert run(["estimate", "--n", "4"]) == 2  # no error norm, no calibration

@@ -56,6 +56,20 @@ def test_op_duration_must_match_catalog():
         SurgeryOp("cnot", ((0, 0), (1, 0)), duration=2.5)
 
 
+@pytest.mark.parametrize("kind", ["rus_block_zz", "xxyy_block", "cnot"])
+def test_negative_duration_rejected(kind):
+    with pytest.raises(ValueError, match="negative"):
+        SurgeryOp(kind, ((0, 0), (1, 0)), duration=-1.5)
+
+
+def test_zero_duration_op_blocks_nothing():
+    grid = build_grid(2)
+    tl = Timeline()
+    tl.add(0.0, SurgeryOp("xxyy_block", ((1, 0), (2, 0), (1, 1), (2, 1)), 0))
+    tl.add(0.0, SurgeryOp("joint_pauli_measurement", ((0, 0), (3, 0)), 1))
+    assert validate(tl, grid) is None
+
+
 def test_overlap_detected():
     grid = build_grid(2)
     tl = Timeline()
@@ -125,3 +139,4 @@ def test_export_jsonl_round_trip(tmp_path):
     assert lines[0]["kind"] == "cnot" and lines[0]["start"] == 0.0
     assert lines[1]["duration"] == 4
     assert tl.horizon == 7.0
+    assert path.read_text() == tl.to_jsonl()

@@ -69,6 +69,30 @@ def test_timeline_has_no_conflicts(n):
     assert validate(sched.timeline, grid) is None
 
 
+def _inversions(seq) -> int:
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+def test_large_lattice_validates(n, mode):
+    from starsched.fabric import build_grid
+
+    sched = compile_step(n, mode=mode)
+    grid = build_grid(n, with_qpe_ancilla=(mode == "controlled"))
+    assert validate(sched.timeline, grid) is None
+    # two ZZ layers and two move layers of V ops, 7 hopping batches of
+    # 2 ops per edge (n(n-1)/2 edges each), 2 ops per adjacent swap on each
+    # of the two routing passes, plus 2 multi-CNOT and 4 multi-CZ ops when
+    # controlled; the swap count is the inversion count of B relative to A
+    v = n * n
+    pos_b = {s: p for p, s in enumerate(sched.pair.order_b)}
+    swaps = _inversions([pos_b[s] for s in sched.pair.order_a])
+    assert swaps == sum(len(layer) for layer in sched.fswaps.layers)
+    expected = 4 * v + 7 * n * (n - 1) + 4 * swaps + (6 if mode == "controlled" else 0)
+    assert len(sched.timeline.ops) == expected
+
+
 def test_controlled_mode_adds_fixed_layers():
     plain = compile_step(4)
     controlled = compile_step(4, mode="controlled")

@@ -1,0 +1,214 @@
+"""Differential test of fabric.validate against the quadratic reference check.
+
+``reference_validate`` is the original implementation: for every merge op it
+rescans all ops to collect the patches busy at the op's start clock.  The
+event-sweep ``validate`` must return the same Conflict (or None) on every
+timeline.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starsched.fabric import (
+    _MERGE_KINDS,
+    CATALOG,
+    Conflict,
+    SurgeryOp,
+    Timeline,
+    build_grid,
+    to_half,
+    validate,
+)
+from starsched.trotter import compile_step
+
+
+def reference_validate(timeline, grid):
+    indexed = sorted(
+        range(len(timeline.ops)),
+        key=lambda i: (
+            timeline.ops[i][0],
+            timeline.ops[i][1].kind,
+            timeline.ops[i][1].participants,
+        ),
+    )
+    conflicts = []
+    intervals = {}
+    for rank, i in enumerate(indexed):
+        start, op = timeline.ops[i]
+        s, e = to_half(start), to_half(start) + to_half(op.duration)
+        for coord in op.participants:
+            if not grid.in_bounds(coord):
+                conflicts.append(Conflict(start, coord, (rank,), "out of bounds"))
+                continue
+            intervals.setdefault(coord, []).append((s, e, rank))
+    for coord, ivs in intervals.items():
+        ivs.sort()
+        for (s1, e1, r1), (s2, e2, r2) in zip(ivs, ivs[1:]):
+            if s2 < e1:
+                conflicts.append(
+                    Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
+                )
+    for rank, i in enumerate(indexed):
+        start, op = timeline.ops[i]
+        if op.kind not in _MERGE_KINDS or len(op.participants) < 2:
+            continue
+        if any(not grid.in_bounds(c) for c in op.participants):
+            continue
+        s = to_half(start)
+        busy = set()
+        for rank2, j in enumerate(indexed):
+            if rank2 == rank:
+                continue
+            st2, op2 = timeline.ops[j]
+            s2, e2 = to_half(st2), to_half(st2) + to_half(op2.duration)
+            if s2 <= s < e2:
+                busy.update(op2.participants)
+        allowed = set(op.participants) | {
+            c for c, p in grid.cells.items() if p.role == "routing" and c not in busy
+        }
+        seen = {op.participants[0]}
+        stack = [op.participants[0]]
+        while stack:
+            cur = stack.pop()
+            for nb in grid.neighbors(cur):
+                if nb in allowed and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        for coord in op.participants:
+            if coord not in seen:
+                conflicts.append(
+                    Conflict(start, coord, (rank,), "participants disconnected")
+                )
+                break
+    if not conflicts:
+        return None
+    conflicts.sort(key=lambda c: (c.clock, c.coord, c.op_indices))
+    return conflicts[0]
+
+
+KINDS = sorted(_MERGE_KINDS) + ["s_gate", "rus_block_zz", "xxyy_block"]
+STARTS = st.integers(0, 8).map(lambda h: h / 2)
+FREE_DURATIONS = st.integers(0, 8).map(lambda h: h / 2)
+
+
+@st.composite
+def surgery_op(draw, participants):
+    kind = draw(st.sampled_from(KINDS))
+    duration = CATALOG[kind] if kind in CATALOG else draw(FREE_DURATIONS)
+    return SurgeryOp(kind, participants, duration)
+
+
+@st.composite
+def disjoint_timelines(draw):
+    """Ops on pairwise-disjoint patches: no overlap, so connectivity decides."""
+    n = draw(st.sampled_from([2, 3]))
+    grid = build_grid(n, with_qpe_ancilla=draw(st.booleans()))
+    cells = draw(st.permutations(sorted(grid.cells)))
+    tl = Timeline()
+    taken = 0
+    for size in draw(st.lists(st.integers(1, 4), max_size=16)):
+        parts = tuple(cells[taken : taken + size])
+        if not parts:
+            break
+        taken += size
+        tl.add(draw(STARTS), draw(surgery_op(parts)))
+    return grid, tl
+
+
+@st.composite
+def adversarial_timelines(draw):
+    """Merges at a few shared clocks, plus routing blockers placed on those
+    clocks: starting with the merge, ending exactly at its start, zero
+    duration, or covering it; some participants out of bounds."""
+    n = draw(st.sampled_from([2, 3]))
+    grid = build_grid(n, with_qpe_ancilla=draw(st.booleans()))
+    v = grid.cols
+    endpoints = [(r, c) for r in (0, 3) for c in range(v)]
+    if grid.qpe_ancilla is not None:
+        endpoints.append(grid.qpe_ancilla)
+    outside = [(4, 0), (-1, 0), (0, v + 1), (2, v)]
+    clocks = draw(st.lists(STARTS, min_size=1, max_size=3, unique=True))
+    tl = Timeline()
+    for _ in range(draw(st.integers(1, 4))):
+        pool = endpoints + outside if draw(st.integers(0, 4)) == 0 else endpoints
+        a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(sorted(_MERGE_KINDS)))
+        tl.add(draw(st.sampled_from(clocks)), SurgeryOp(kind, (a, b), CATALOG[kind]))
+    for _ in range(draw(st.integers(0, 6))):
+        t = draw(st.sampled_from(clocks))
+        col = draw(st.integers(0, v - 1))
+        rows = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+        parts = tuple((r, col) for r in rows)
+        if draw(st.integers(0, 5)) == 0:
+            parts += (draw(st.sampled_from(outside)),)
+        dur = draw(st.integers(1, 8)) / 2
+        how = draw(st.sampled_from(["same_start", "ends_at", "zero", "covers"]))
+        if how == "same_start":
+            start = t
+        elif how == "ends_at":
+            dur = min(dur, t)
+            start = t - dur
+        elif how == "zero":
+            start, dur = t, 0.0
+        else:
+            start, dur = max(0.0, t - 0.5), dur + 0.5
+        tl.add(start, SurgeryOp("xxyy_block", parts, dur))
+    return grid, tl
+
+
+@lru_cache(maxsize=None)
+def compiled_case(n, mode):
+    """A compiled step's ops, its merge start clocks, and per such clock the
+    routing-holding ops that could move there without overlapping any patch."""
+    ops = tuple(compile_step(n, mode=mode).timeline.ops)
+    held = {}
+    for i, (s, op) in enumerate(ops):
+        for c in op.participants:
+            held.setdefault(c, []).append((s, s + op.duration, i))
+    routing_ops = [
+        i for i, (_, op) in enumerate(ops) if any(r in (1, 2) for r, _ in op.participants)
+    ]
+    merge_starts = sorted({s for s, op in ops if op.kind in _MERGE_KINDS})
+    clean = {
+        t: [
+            i
+            for i in routing_ops
+            if all(
+                e <= t or t + ops[i][1].duration <= s
+                for c in ops[i][1].participants
+                for s, e, j in held[c]
+                if j != i
+            )
+        ]
+        for t in merge_starts
+    }
+    return ops, routing_ops, merge_starts, clean
+
+
+@given(disjoint_timelines())
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_on_disjoint_timelines(case):
+    grid, tl = case
+    assert validate(tl, grid) == reference_validate(tl, grid)
+
+
+@given(adversarial_timelines())
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_on_adversarial_timelines(case):
+    grid, tl = case
+    assert validate(tl, grid) == reference_validate(tl, grid)
+
+
+@given(st.integers(2, 6), st.sampled_from(["plain", "controlled"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_on_shifted_compiled_steps(n, mode, data):
+    ops, routing_ops, merge_starts, clean = compiled_case(n, mode)
+    t = data.draw(st.sampled_from(merge_starts))
+    # half the time, an op that blocks routing at t without overlapping a patch
+    pool = clean[t] if clean[t] and data.draw(st.booleans()) else routing_ops
+    i = data.draw(st.sampled_from(pool))
+    tl = Timeline([(t, op) if k == i else (s, op) for k, (s, op) in enumerate(ops)])
+    grid = build_grid(n, with_qpe_ancilla=(mode == "controlled"))
+    assert validate(tl, grid) == reference_validate(tl, grid)
