@@ -1,11 +1,11 @@
 """Time compile_step (which runs fabric.validate) over lattice sizes and modes.
 
-    python3 scripts/bench_validate.py [--src DIR] [--repeats N] [--n 4 8 10 12]
+    python3 scripts/bench_validate.py [--src DIR]
 
 Imports starsched from DIR (default: the src/ tree next to this script), so the
 same script can time another checkout.  Prints one JSON object: per
-"n<N>-<mode>" entry the op count, the median and quartiles of the repeated
-wall times in seconds, and the repeat count.
+"n<N>-<mode>" entry (N in SIZES) the op count, the median and quartiles of
+REPEATS wall times in seconds, and the repeat count.
 """
 
 from __future__ import annotations
@@ -17,23 +17,24 @@ import statistics
 import sys
 import time
 
+SIZES = (4, 8, 10, 12)
+REPEATS = 5
+
 
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, "..", "src"))
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--n", type=int, nargs="+", default=[4, 8, 10, 12])
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from starsched.trotter import compile_step
 
     out = {}
-    for n in args.n:
+    for n in SIZES:
         for mode in ("plain", "controlled"):
             ops = len(compile_step(n, mode=mode).timeline.ops)  # warm-up
             times = []
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 compile_step(n, mode=mode)
                 times.append(time.perf_counter() - t0)
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
                 "median_s": round(median, 4),
                 "q1_s": round(q1, 4),
                 "q3_s": round(q3, 4),
-                "repeats": args.repeats,
+                "repeats": REPEATS,
             }
             print(f"n={n} {mode}: {median:.4f} s", file=sys.stderr, flush=True)
     print(json.dumps(out, indent=1))

@@ -224,9 +224,9 @@ def _disconnected_merges(ordered, spans, grid: PatchGrid):
     """Connectivity of merge-type ops at their start clock, by event sweep.
 
     Ranks are in start order.  A patch is busy at clock t when some op holds
-    it over [s, e) with s <= t < e; ops with e <= s never hold a patch.  The
-    merge op itself counts as busy too, which changes nothing: its own
-    participants are always allowed in its search.
+    it over [s, e) with s <= t < e.  The merge op itself counts as busy too,
+    which changes nothing: its own participants are always allowed in its
+    search.
     """
     merges = [
         rank
@@ -238,16 +238,15 @@ def _disconnected_merges(ordered, spans, grid: PatchGrid):
     if not merges:
         return
     routing = [c for c, p in grid.cells.items() if p.role == "routing"]
-    held = [rank for rank, (s, e) in enumerate(spans) if e > s]
-    by_end = sorted(held, key=lambda r: spans[r][1])
+    by_end = sorted(range(len(spans)), key=lambda r: spans[r][1])
     busy: Counter = Counter()
     added = ended = 0
     clock = None
     for rank in merges:
         if spans[rank][0] != clock:
             clock = spans[rank][0]
-            while added < len(held) and spans[held[added]][0] <= clock:
-                busy.update(ordered[held[added]][1].participants)
+            while added < len(spans) and spans[added][0] <= clock:
+                busy.update(ordered[added][1].participants)
                 added += 1
             while ended < len(by_end) and spans[by_end[ended]][1] <= clock:
                 busy.subtract(ordered[by_end[ended]][1].participants)

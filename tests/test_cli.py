@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -64,6 +66,22 @@ def test_compile_trotter_timeline_written_atomically(tmp_path):
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["timeline.jsonl"]
     assert timeline.read_text() == compile_step(3).timeline.to_jsonl()
+
+
+def test_outputs_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        timeline = tmp_path / "timeline.jsonl"
+        out = tmp_path / "summary.json"
+        code = run(
+            ["compile-trotter", "--n", "3", "--timeline", str(timeline),
+             "--out", str(out)]
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(timeline.stat().st_mode) == 0o644
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_estimate_exit_codes(tmp_path):
