@@ -20,7 +20,6 @@ from .hubbard import (
     OrderingPair,
     build_hamiltonian,
     default_orderings,
-    generate_ordering_pair,
     load_ordering_pair,
     one_norm,
     route_orderings,
@@ -47,7 +46,7 @@ from .rus import RusStats, calibrate_p_pass, expected_trials, simulate_parallel_
 from .trotter import (
     TrotterSchedule,
     compile_step,
-    controlled_overhead,
+    controlled_circuit_clocks,
     rough_t_rus,
     serial_clocks,
     trotter_clocks,
@@ -81,10 +80,9 @@ __all__ = [
     "calibrate_w_norm",
     "choose_distance",
     "compile_step",
-    "controlled_overhead",
+    "controlled_circuit_clocks",
     "default_orderings",
     "expected_trials",
-    "generate_ordering_pair",
     "load_ordering_pair",
     "multilevel_qcels",
     "one_norm",

@@ -10,8 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 infeasible model.
 All outputs are written atomically (temp file + rename); the same argv and
-seed always produce byte-identical files.  The STAR_THREADS environment
-variable overrides --threads.
+seed always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ def cmd_simulate_rus(args) -> int:
         mode=args.mode,
         runs=args.runs,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.hist:
         rows = [[clock, count] for clock, count in stats.histogram().items()]
@@ -171,7 +169,6 @@ def cmd_estimate(args) -> int:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config is not valid JSON: {exc}") from None
         cfg = parse_config(obj)
-    cfg.n = args.n
     report = build_report(args.n, cfg, calibrate_nmax=args.calibrate_nmax)
     _emit(args, report.to_json() + "\n")
     return 0
@@ -186,6 +183,8 @@ def cmd_qcels_demo(args) -> int:
         spectrum = SyntheticSpectrum(
             (-0.5, 0.9, 1.8, 2.6, -2.8), (0.8, 0.05, 0.05, 0.05, 0.05)
         )
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     target = spectrum.dominant
     errors = []
     for trial in range(args.trials):
@@ -230,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("json", "csv", "text"),
             default=None,
             help="output format (default depends on subcommand)",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="Monte Carlo worker threads (default 1; STAR_THREADS overrides)",
         )
 
     p = sub.add_parser("avg-trials", help="expected trial counts per group size")
@@ -303,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_threads = os.environ.get("STAR_THREADS")
-    if env_threads:
-        try:
-            args.threads = int(env_threads)
-        except ValueError:
-            print(f"error: STAR_THREADS must be an integer, got {env_threads!r}",
-                  file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except InfeasibleModel as exc:

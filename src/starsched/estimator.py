@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .hubbard import HubbardSpec, one_norm
-from .injection import SHIPPED_CONFIGS
-from .trotter import rough_t_rus, trotter_clocks
+from .injection import SHIPPED_CONFIGS, pec_sampling_factor, rus_error_rate
+from .trotter import controlled_circuit_clocks, rough_t_rus, trotter_clocks
 
 CODE_CYCLE_SECONDS = 1e-6
-CONTROLLED_PER_STEP = 18.0  # multi-target CNOT/CZ layers per controlled step
-CONTROLLED_BOUNDARY = 16.0  # ancilla prep/move layers per circuit
 
 
 class InfeasibleModel(ValueError):
@@ -143,7 +141,7 @@ def choose_distance(
 
 def pec_factor(tau: float, p_phys: float, k: int) -> float:
     """Mitigation sampling overhead of a duration-τ normalized evolution."""
-    return math.exp(4 * 0.40 * k * math.pi * tau * p_phys)
+    return pec_sampling_factor(rus_error_rate(math.pi * tau, p_phys, k))
 
 
 def calibrate_w_norm(
@@ -164,8 +162,8 @@ def calibrate_w_norm(
 
 
 _SCHEMA = {
-    "model": {"n", "t", "u"},
-    "injection": {"k", "q_sizes", "p_pass", "attempts_per_clock"},
+    "model": {"t", "u"},
+    "injection": {"k"},
     "code": {"p_phys", "eps_logerr", "d_override"},
     "qcels": {"delta", "n_pairs", "n_samples", "eps_targ"},
     "trotter": {"w_norm"},
@@ -174,13 +172,9 @@ _SCHEMA = {
 
 @dataclass
 class EstimatorConfig:
-    n: int = 4
     t: float = 1.0
     u: float = 4.0
     k: int | None = None
-    q_sizes: tuple[int, ...] | None = None
-    p_pass: float | dict = 1.0
-    attempts_per_clock: int = 3
     p_phys: float = 1e-4
     eps_logerr: float = 0.01
     d_override: int | None = None
@@ -207,8 +201,6 @@ def parse_config(obj: dict) -> EstimatorConfig:
         if bad:
             raise ValueError(f"unknown config key: {section}.{sorted(bad)[0]}")
         for key, value in sub.items():
-            if key == "q_sizes":
-                value = tuple(value)
             setattr(cfg, key, value)
     return cfg
 
@@ -252,9 +244,9 @@ def build_report(
     when ``calibrate_nmax`` is given, from inverting the largest-circuit
     step count.
     """
+    if calibrate_nmax is not None and calibrate_nmax < 1:
+        raise ValueError(f"calibrate_nmax must be at least 1, got {calibrate_nmax}")
     cfg = config or EstimatorConfig()
-    if cfg.n != n:
-        cfg.n = n
     spec = HubbardSpec(n, cfg.t, cfg.u)
     lam = one_norm(spec)
     if t_trotter is None:
@@ -282,7 +274,7 @@ def build_report(
     eps_t_norm = normalize(eps_t, lam)
     steps = [trotter_steps_per_level(t, w_norm, eps_t_norm) for t in params.tau]
 
-    clocks_per_circuit = n_max * (t_trotter + CONTROLLED_PER_STEP) + CONTROLLED_BOUNDARY
+    clocks_per_circuit = controlled_circuit_clocks(n_max, t_trotter)
     if cfg.d_override is not None:
         d = cfg.d_override
     else:
@@ -296,7 +288,7 @@ def build_report(
     total = 0.0
     for tau_j, n_j in zip(params.tau, steps):
         for i in range(cfg.n_pairs):
-            clocks = i * n_j * (t_trotter + CONTROLLED_PER_STEP) + CONTROLLED_BOUNDARY
+            clocks = controlled_circuit_clocks(i * n_j, t_trotter)
             weight = pec_factor(tau_j * i / 2, cfg.p_phys, k)
             total += 2 * cfg.n_samples * clocks * d * CODE_CYCLE_SECONDS * weight
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 
 class OrderingError(ValueError):
@@ -187,18 +186,6 @@ def _split_shared(n: int, loc_a: set, loc_b: set) -> tuple[tuple, tuple]:
     return tuple(sorted(edges_a)), tuple(sorted(edges_b))
 
 
-def generate_ordering_pair(n: int) -> OrderingPair:
-    """Construct the default ordering pair for an n x n lattice."""
-    order_a = _band_order(n, 0)
-    order_b = _band_order(n, 1)
-    edges_a, edges_b = _split_shared(
-        n, _local_edges(order_a, n), _local_edges(order_b, n)
-    )
-    pair = OrderingPair(n, order_a, order_b, edges_a, edges_b)
-    validate_ordering_pair(pair)
-    return pair
-
-
 def validate_ordering_pair(pair: OrderingPair) -> None:
     """Check all structural requirements; raise OrderingError with details."""
     n = pair.n
@@ -256,13 +243,6 @@ def sublayers(
     return tuple(half0), tuple(half1)
 
 
-_DATA_RANGE = range(2, 11)
-
-
-def _data_file(n: int):
-    return resources.files("starsched.data").joinpath(f"ordering_pair_n{n}.json")
-
-
 def load_ordering_pair(path_or_obj) -> OrderingPair:
     """Load and validate an ordering pair from a JSON file or dict."""
     if isinstance(path_or_obj, dict):
@@ -285,13 +265,17 @@ def load_ordering_pair(path_or_obj) -> OrderingPair:
 
 
 def default_orderings(n: int) -> OrderingPair:
-    """The shipped ordering pair for n in 2..10, generated otherwise."""
+    """The validated band ordering pair for an n x n lattice."""
     if n < 2:
         raise ValueError(f"lattice size must be at least 2, got {n}")
-    if n in _DATA_RANGE:
-        with resources.as_file(_data_file(n)) as path:
-            return load_ordering_pair(path)
-    return generate_ordering_pair(n)
+    order_a = _band_order(n, 0)
+    order_b = _band_order(n, 1)
+    edges_a, edges_b = _split_shared(
+        n, _local_edges(order_a, n), _local_edges(order_b, n)
+    )
+    pair = OrderingPair(n, order_a, order_b, edges_a, edges_b)
+    validate_ordering_pair(pair)
+    return pair
 
 
 # ---------------------------------------------------------------------------

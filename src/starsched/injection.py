@@ -45,6 +45,8 @@ class InjectionConfig:
             )
         if self.attempts_per_clock < 1:
             raise ValueError("attempts_per_clock must be at least 1")
+        for rate in self.p_pass.values() if isinstance(self.p_pass, dict) else [self.p_pass]:
+            _check_pass_rate(rate)
 
     def pass_rate(self) -> float:
         if isinstance(self.p_pass, dict):
@@ -54,6 +56,16 @@ class InjectionConfig:
             except KeyError:
                 raise KeyError(f"p_pass table has no entry for {key!r}") from None
         return float(self.p_pass)
+
+
+def _check_pass_rate(rate) -> float:
+    try:
+        value = float(rate)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0 < value <= 1:
+        raise ValueError(f"pass rate must be a number in (0, 1], got {rate!r}")
+    return value
 
 
 # Shipped configurations (distance: subset sizes).
@@ -69,7 +81,7 @@ def load_p_pass_table(path) -> dict:
         table = json.load(fh)
     if not isinstance(table, dict):
         raise ValueError("p_pass table must be a JSON object")
-    return {str(k): float(v) for k, v in table.items()}
+    return {str(k): _check_pass_rate(v) for k, v in table.items()}
 
 
 @dataclass(frozen=True)

@@ -70,14 +70,12 @@ def synth_signal(
     return SignalSeries(times, tuple(values))
 
 
-def qcels_fit(
-    series: SignalSeries, lo: float, hi: float, grid_points: int = 200
-) -> tuple[complex, float]:
+def qcels_fit(series: SignalSeries, lo: float, hi: float) -> tuple[complex, float]:
     """Least-squares fit of r·e^{-i t θ} to the series over θ in [lo, hi].
 
     For fixed θ the optimal amplitude is r = mean(Z_n e^{+i t_n θ}), and the
-    loss is minimized exactly where |r(θ)| is maximized; a dense grid scan
-    is polished by a golden-section search around the best grid point.
+    loss is minimized exactly where |r(θ)| is maximized; a 200-point grid
+    scan is polished by Newton steps around the best grid point.
     Returns (r*, θ*).
     """
     if not series.values:
@@ -88,10 +86,10 @@ def qcels_fit(
     def r_of(theta: float) -> complex:
         return complex(np.mean(z * np.exp(1j * t * theta)))
 
-    thetas = np.linspace(lo, hi, max(grid_points, 200))
+    thetas = np.linspace(lo, hi, 200)
     scores = np.abs((z[None, :] * np.exp(1j * np.outer(thetas, t))).mean(axis=1))
     best = int(np.argmax(scores))
-    step = float(thetas[1] - thetas[0]) if len(thetas) > 1 else hi - lo
+    step = float(thetas[1] - thetas[0])
     theta = float(thetas[best])
     # Newton refinement on g(θ) = d|r|²/dθ, which vanishes at the peak.
     for _ in range(50):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +115,7 @@ class RusStats:
 
 
 class _Proc:
-    __slots__ = ("pid", "k", "status", "meas_left", "buffered", "region", "done_at")
+    __slots__ = ("pid", "k", "status", "meas_left", "buffered", "region")
 
     def __init__(self, pid: int, region: set[Coord]):
         self.pid = pid
@@ -125,7 +124,6 @@ class _Proc:
         self.meas_left = 0
         self.buffered = False
         self.region = region
-        self.done_at = 0
 
 
 def benchmark_layout(m: int, basis: str):
@@ -180,8 +178,6 @@ def simulate_parallel_rus(
     mode: str = "adaptive",
     runs: int = 1000,
     seed: int = 0,
-    threads: int = 1,
-    debug: bool = False,
 ) -> RusStats:
     """Monte Carlo of M parallel RUS processes; returns per-run completion clocks.
 
@@ -194,6 +190,8 @@ def simulate_parallel_rus(
     """
     if mode not in ("naive", "adaptive"):
         raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     targets, regions0, cells = benchmark_layout(m, basis)
     neighbors = _grid_neighbors(cells)
     target_cells = {c for t in targets.values() for c in t}
@@ -235,7 +233,6 @@ def simulate_parallel_rus(
             for p in finishing:
                 if rng.random() < 0.5:
                     p.status = "done"
-                    p.done_at = t
                     free |= p.region
                     p.region = set()
                     remaining -= 1
@@ -257,19 +254,9 @@ def simulate_parallel_rus(
                 if p.status == "ready":
                     p.status = "measuring"
                     p.meas_left = meas_clocks
-            if debug:
-                seen: set[Coord] = set()
-                for p in procs:
-                    assert not (p.region & seen), "regions overlap"
-                    assert not (p.region & free), "region cell marked free"
-                    seen |= p.region
         return t
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            completions = tuple(pool.map(run_once, range(runs)))
-    else:
-        completions = tuple(run_once(i) for i in range(runs))
+    completions = tuple(run_once(i) for i in range(runs))
     return RusStats(completions, runs, seed)
 
 

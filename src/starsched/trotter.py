@@ -32,6 +32,11 @@ MOVE_CLOCKS = fabric.CATALOG["patch_move_layer"]
 FSWAP_CLOCKS = fabric.CATALOG["fswap"]
 MULTI_CNOT_CLOCKS = fabric.CATALOG["multi_target_cnot_reduced"]
 MULTI_CZ_LAYER_CLOCKS = 2 * fabric.CATALOG["multi_target_cz"]  # both spin rows
+# a controlled step adds two multi-target CNOT and two multi-target CZ layers
+CONTROLLED_STEP_CLOCKS = 2 * MULTI_CNOT_CLOCKS + 2 * MULTI_CZ_LAYER_CLOCKS
+# once per circuit: two CNOT layers (5 clocks each) and two ancilla move
+# layers (3 clocks each) at the ends of the controlled evolution
+CONTROLLED_BOUNDARY_CLOCKS = 16.0
 
 
 @dataclass(frozen=True)
@@ -105,16 +110,9 @@ def trotter_clocks(n: int, t_rus) -> float:
     )
 
 
-def controlled_overhead(t_steps: int) -> float:
-    """Extra clocks for controlling a T-step evolution: 16 + 18 per step.
-
-    Per step: two multi-target CNOT layers (5 clocks each) and two
-    multi-target CZ layers covering both spin rows (4 clocks each); the
-    constant 16 = 2x5 CNOT layers + 2x3 ancilla move layers at the ends.
-    """
-    if t_steps < 0:
-        raise ValueError("step count must be nonnegative")
-    return 16 + 18 * t_steps
+def controlled_circuit_clocks(steps: int, t_step: float) -> float:
+    """Clocks of a controlled evolution of ``steps`` plain steps of t_step clocks."""
+    return steps * (t_step + CONTROLLED_STEP_CLOCKS) + CONTROLLED_BOUNDARY_CLOCKS
 
 
 def anticommuting_controls(n: int):

@@ -5,17 +5,18 @@ resource figures, structural counts, or statistical behaviour the pipeline
 must reproduce.
 """
 
+import hashlib
 import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from starsched.cli import run
 from starsched.estimator import (
-    EstimatorConfig,
     QcelsParams,
     build_report,
     calibrate_w_norm,
@@ -29,7 +30,7 @@ from starsched.hubbard import HubbardSpec, _odd_even_route, default_orderings, o
 from starsched.injection import SHIPPED_CONFIGS
 from starsched.qcels import SyntheticSpectrum, multilevel_qcels
 from starsched.rus import calibrate_p_pass, expected_trials, prob_finish_at, simulate_parallel_rus
-from starsched.trotter import compile_step, serial_clocks
+from starsched.trotter import compile_step, controlled_circuit_clocks, serial_clocks, trotter_clocks
 
 # Published per-size reference values (4x4, 6x6, 8x8, 10x10).
 LAMBDA = {4: 64.0, 6: 156.0, 8: 288.0, 10: 460.0}
@@ -40,10 +41,6 @@ DISTANCE = {4: 9, 6: 11, 8: 11, 10: 11}
 MAX_RUNTIME = {4: 7.59, 6: 17.09, 8: 26.69, 10: 37.97}
 TOTAL_RUNTIME = {4: 7158, 6: 18314, 8: 35247, 10: 63220}
 N_QUBIT = {4: 10530, 6: 35090, 8: 62194, 10: 97042}
-
-
-def paper_config(n: int) -> EstimatorConfig:
-    return EstimatorConfig(n=n)
 
 
 # 1 ----------------------------------------------------------------------
@@ -110,18 +107,11 @@ def test_04_compiled_step_structure(n):
 # 5 ----------------------------------------------------------------------
 def _simulated_step_clocks(n: int, runs: int, seed: int) -> float:
     cfg = SHIPPED_CONFIGS[9]
-    v = n * n
-    means = {}
-    for m, basis in ((v - n, "Z"), (v - n, "ZZ"), (v, "ZZ")):
-        stats = simulate_parallel_rus(m, basis, 1e-8, cfg, "adaptive", runs, seed)
-        means[(m, basis)] = stats.mean
-    return (
-        7 * means[(v - n, "Z")]
-        + 7 * means[(v - n, "ZZ")]
-        + 2 * means[(v, "ZZ")]
-        + 14 * n
-        + 55
-    )
+
+    def simulated_mean(m: int, basis: str) -> float:
+        return simulate_parallel_rus(m, basis, 1e-8, cfg, "adaptive", runs, seed).mean
+
+    return trotter_clocks(n, simulated_mean)
 
 
 def test_05_simulated_step_clocks_4x4_bracket():
@@ -171,7 +161,7 @@ def test_07_serial_baseline_and_reduction_span():
 # 8 ----------------------------------------------------------------------
 def test_08_phase_estimation_bookkeeping():
     for n in (4, 6, 8, 10):
-        report = build_report(n, paper_config(n), calibrate_nmax=N_MAX[n])
+        report = build_report(n, calibrate_nmax=N_MAX[n])
         params = QcelsParams(
             0.06, 5, 100, normalize(report.eps_qcels, LAMBDA[n])
         )
@@ -201,7 +191,7 @@ def test_09_calibrated_totals_match_reference():
 # 10 ---------------------------------------------------------------------
 def test_10_code_distance_choice():
     for n in (4, 6, 8, 10):
-        report = build_report(n, paper_config(n), calibrate_nmax=N_MAX[n])
+        report = build_report(n, calibrate_nmax=N_MAX[n])
         assert report.d == DISTANCE[n]
 
 
@@ -209,8 +199,8 @@ def test_10_clocks_only_exposure_yields_smaller_distance():
     # Counting only circuit duration (ignoring that all 4n²+1 patches are
     # simultaneously exposed) under-weights the error budget and picks d=7
     # for the 4x4 model; the patches x clocks convention is the one used.
-    report = build_report(4, paper_config(4), calibrate_nmax=N_MAX[4])
-    clocks = report.n_max * (report.t_trotter + 18) + 16
+    report = build_report(4, calibrate_nmax=N_MAX[4])
+    clocks = controlled_circuit_clocks(report.n_max, report.t_trotter)
     d_patches = choose_distance(4, clocks, 1e-4)
     assert d_patches == 9
     d_clocks_only = next(
@@ -224,9 +214,7 @@ def test_10_clocks_only_exposure_yields_smaller_distance():
 # 11 ---------------------------------------------------------------------
 def test_11_final_report_runtimes_and_qubits():
     for n in (4, 6, 8, 10):
-        report = build_report(
-            n, paper_config(n), t_trotter=T_TROTTER[n], calibrate_nmax=N_MAX[n]
-        )
+        report = build_report(n, t_trotter=T_TROTTER[n], calibrate_nmax=N_MAX[n])
         max_rt = report.n_max * T_TROTTER[n] * DISTANCE[n] * 1e-6
         assert max_rt == pytest.approx(MAX_RUNTIME[n], rel=0.01)
         assert report.max_runtime_s == pytest.approx(MAX_RUNTIME[n], rel=0.01)
@@ -266,3 +254,27 @@ def test_13_seeded_commands_are_byte_identical(tmp_path, argv):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# 14 ---------------------------------------------------------------------
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+GOLDEN_ARGV = {
+    f"compile-{mode}-n{n}": ["compile-trotter", "--n", str(n), "--mode", mode]
+    for mode in ("plain", "controlled")
+    for n in range(2, 11)
+}
+GOLDEN_ARGV.update(
+    {f"estimate-n{n}": ["estimate", "--n", str(n), "--calibrate-nmax", str(N_MAX[n])] for n in N_MAX}
+)
+
+
+@pytest.mark.parametrize("item", sorted(GOLDEN_ARGV))
+def test_14_unseeded_commands_match_golden_outputs(tmp_path, item):
+    workload = "compile-trotter-sweep" if item.startswith("compile") else "estimate-qcels"
+    golden = json.loads((GOLDEN / f"{workload}.json").read_text())["items"][item]
+    out, timeline = tmp_path / "out", tmp_path / "timeline"
+    extra = ["--timeline", str(timeline)] if "timeline" in golden else []
+    assert run(GOLDEN_ARGV[item] + ["--out", str(out)] + extra) == 0
+    assert out.read_text() == golden["out"]
+    if extra:
+        assert hashlib.sha256(timeline.read_bytes()).hexdigest() == golden["timeline"]

@@ -164,15 +164,22 @@ def test_repeat_runs_byte_identical(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_env_override_preserves_output(tmp_path, monkeypatch):
-    argv = ["simulate-rus", "--m", "8", "--runs", "40", "--seed", "11"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("STAR_THREADS", "4")
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("STAR_THREADS", "lots")
-    assert run(["avg-trials", "--m-max", "2"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-rus", "--runs", "0"],
+        ["qcels-demo", "--trials", "0"],
+        ["estimate", "--n", "4", "--calibrate-nmax", "-5"],
+        ["simulate-rus", "--p-pass", "0"],
+        ["simulate-rus", "--p-pass", "1.5"],
+        ["simulate-rus", "--p-pass-table", "{dir}/zero.json"],
+        ["simulate-rus", "--p-pass-table", "{dir}/null.json"],
+    ],
+)
+def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
+    for name, rate in (("zero", 0.0), ("null", None)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"9,0.0001": rate}))
+    assert run([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

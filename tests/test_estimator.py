@@ -101,8 +101,10 @@ def test_error_norm_calibration_round_trip():
 
 
 def test_config_parsing_and_unknown_keys():
-    cfg = parse_config({"model": {"n": 6, "u": 8.0}, "qcels": {"delta": 0.05}})
-    assert cfg.n == 6 and cfg.u == 8.0 and cfg.delta == 0.05
+    cfg = parse_config({"model": {"u": 8.0}, "qcels": {"delta": 0.05}})
+    assert cfg.u == 8.0 and cfg.delta == 0.05
+    with pytest.raises(ValueError, match="model.n"):
+        parse_config({"model": {"n": 6}})
     with pytest.raises(ValueError, match="bogus"):
         parse_config({"bogus": {}})
     with pytest.raises(ValueError, match="model.mass"):

@@ -14,7 +14,6 @@ from starsched.hubbard import (
     _odd_even_route,
     build_hamiltonian,
     default_orderings,
-    generate_ordering_pair,
     grid_edges,
     load_ordering_pair,
     one_norm,
@@ -58,10 +57,17 @@ def test_one_norm_scales_with_couplings():
     )
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_generated_pairs_validate(n):
-    pair = generate_ordering_pair(n)
+    pair = default_orderings(n)
+    assert pair.n == n
     validate_ordering_pair(pair)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_default_orderings_rejects_small_lattices(n):
+    with pytest.raises(ValueError, match="at least 2"):
+        default_orderings(n)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -8,10 +8,10 @@ import pytest
 from starsched.fabric import validate
 from starsched.hubbard import HubbardSpec
 from starsched.trotter import (
+    CONTROLLED_STEP_CLOCKS,
     AngleSet,
     anticommuting_controls,
     compile_step,
-    controlled_overhead,
     rough_t_rus,
     serial_clocks,
     trotter_clocks,
@@ -93,11 +93,11 @@ def test_large_lattice_validates(n, mode):
     assert len(sched.timeline.ops) == expected
 
 
-def test_controlled_mode_adds_fixed_layers():
-    plain = compile_step(4)
-    controlled = compile_step(4, mode="controlled")
-    assert controlled.fixed_clocks - plain.fixed_clocks == 18
-    assert controlled_overhead(100) == 16 + 18 * 100
+@pytest.mark.parametrize("n", range(2, 7))
+def test_controlled_mode_adds_fixed_layers(n):
+    plain = compile_step(n)
+    controlled = compile_step(n, mode="controlled")
+    assert controlled.fixed_clocks - plain.fixed_clocks == CONTROLLED_STEP_CLOCKS == 18
 
 
 def test_controlled_timeline_validates():
