@@ -8,6 +8,7 @@ Subcommands:
   estimate        end-to-end phase-estimation resource report
   qcels-demo      multi-level phase estimation success-rate demo
 
+Tables are written as CSV and summaries as JSON.
 Exit codes: 0 success, 1 validation error, 2 infeasible model.
 All outputs are written atomically (temp file + rename); the same argv and
 seed always produce byte-identical files.
@@ -24,8 +25,7 @@ import tempfile
 from dataclasses import replace
 
 from .estimator import EstimatorConfig, InfeasibleModel, build_report, parse_config
-from .hubbard import OrderingError
-from .injection import SHIPPED_CONFIGS, AngleCapError, load_p_pass_table
+from .injection import SHIPPED_CONFIGS, load_p_pass_table
 from .qcels import SyntheticSpectrum, multilevel_qcels, wrap_phase
 from .rus import expected_trials, simulate_parallel_rus
 from .trotter import compile_step, rough_t_rus, serial_clocks, trotter_clocks
@@ -57,33 +57,14 @@ def _emit(args, text: str) -> None:
         write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _rows_text(header: list[str], rows: list[list], fmt: str) -> str:
-    """Render tabular data as csv, json (list of objects), or aligned text."""
-    if fmt == "json":
-        return (
-            json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
-        )
-    str_rows = [[str(c) for c in row] for row in rows]
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join(r) for r in str_rows]
-        return "\n".join(lines) + "\n"
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in str_rows)) if str_rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in str_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _obj_text(obj: dict, fmt: str) -> str:
-    if fmt == "text":
-        return "\n".join(f"{k}: {v}" for k, v in obj.items()) + "\n"
+def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
@@ -101,7 +82,7 @@ def _injection_config(args):
 
 def cmd_avg_trials(args) -> int:
     rows = [[m, f"{expected_trials(m):.6f}"] for m in range(1, args.m_max + 1)]
-    _emit(args, _rows_text(["m", "avg_trials"], rows, args.format or "csv"))
+    _emit(args, _csv_text(["m", "avg_trials"], rows))
     return 0
 
 
@@ -118,7 +99,7 @@ def cmd_simulate_rus(args) -> int:
     )
     if args.hist:
         rows = [[clock, count] for clock, count in stats.histogram().items()]
-        write_atomic(args.hist, _rows_text(["clock", "count"], rows, "csv"))
+        write_atomic(args.hist, _csv_text(["clock", "count"], rows))
     summary = {
         "mean": stats.mean,
         "p50": stats.percentile(50),
@@ -127,12 +108,12 @@ def cmd_simulate_rus(args) -> int:
         "runs": stats.runs,
         "seed": stats.seed,
     }
-    _emit(args, _obj_text(summary, args.format or "json"))
+    _emit(args, _json_text(summary))
     return 0
 
 
 def cmd_compile_trotter(args) -> int:
-    schedule = compile_step(args.n, dt=args.dt, mode=args.mode)
+    schedule = compile_step(args.n, mode=args.mode)
     if args.timeline:
         write_atomic(args.timeline, schedule.timeline.to_jsonl())
     groups = sorted(schedule.rus_group_multiset().items())
@@ -144,7 +125,7 @@ def cmd_compile_trotter(args) -> int:
         "L": schedule.fswaps.depth,
         "formula_clocks": trotter_clocks(args.n, rough_t_rus),
     }
-    _emit(args, _obj_text(summary, args.format or "json"))
+    _emit(args, _json_text(summary))
     return 0
 
 
@@ -156,7 +137,7 @@ def cmd_compare_serial(args) -> int:
         reduction = 100.0 * (1.0 - parallel / serial)
         rows.append([n, f"{serial:.0f}", f"{parallel:.3f}", f"{reduction:.2f}"])
     header = ["n", "serial_clocks", "parallel_clocks", "reduction_pct"]
-    _emit(args, _rows_text(header, rows, args.format or "csv"))
+    _emit(args, _csv_text(header, rows))
     return 0
 
 
@@ -209,7 +190,7 @@ def cmd_qcels_demo(args) -> int:
             "seed": args.seed,
         },
     }
-    _emit(args, _obj_text(summary, args.format or "json"))
+    _emit(args, _json_text(summary))
     return 0
 
 
@@ -222,14 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default=None,
-            help="output format (default depends on subcommand)",
-        )
 
     p = sub.add_parser("avg-trials", help="expected trial counts per group size")
     common(p)
@@ -238,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-rus", help="parallel rotation Monte Carlo")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--m", type=int, default=32, help="parallel rotation count")
     p.add_argument("--basis", choices=("Z", "ZZ"), default="Z")
     p.add_argument("--theta", type=float, default=1e-8, help="target angle")
@@ -256,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile-trotter", help="compile one Trotter step")
     common(p)
     p.add_argument("--n", type=int, default=4, help="lattice side length")
-    p.add_argument("--dt", type=float, default=0.01, help="Trotter time step")
     p.add_argument("--mode", choices=("plain", "controlled"), default="plain")
     p.add_argument("--timeline", default=None, help="write timeline JSON-lines here")
     p.set_defaults(func=cmd_compile_trotter)
@@ -282,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qcels-demo", help="phase-estimation success-rate demo")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--spectrum", default=None, help="JSON file {phases, weights}")
     p.add_argument("--eps", type=float, default=0.01, help="target accuracy")
     p.add_argument("--delta", type=float, default=0.06)
@@ -301,7 +276,8 @@ def run(argv: list[str] | None = None) -> int:
     except InfeasibleModel as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, OrderingError, AngleCapError) as exc:
+    # OrderingError and AngleCapError are ValueErrors
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,24 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass, asdict
 
 from .hubbard import HubbardSpec, one_norm
-from .injection import SHIPPED_CONFIGS, pec_sampling_factor, rus_error_rate
+from .injection import SHIPPED_CONFIGS, InfeasibleModel, pec_sampling_factor, rus_error_rate
 from .trotter import controlled_circuit_clocks, rough_t_rus, trotter_clocks
 
 CODE_CYCLE_SECONDS = 1e-6
 
 
-class InfeasibleModel(ValueError):
-    """Raised when no consistent resource assignment exists."""
-
-
-def normalize(value: float, lam: float, power: int = 1) -> float:
-    """Scale a spectral quantity by (π/λ)^power (power 3 for the error norm)."""
+def normalize(value: float, lam: float) -> float:
+    """Scale a spectral quantity by π/λ."""
     if lam <= 0:
         raise ValueError("one-norm must be positive")
-    return value * (math.pi / lam) ** power
+    return value * (math.pi / lam)
 
 
 @dataclass(frozen=True)
@@ -38,6 +35,12 @@ class QcelsParams:
     n_pairs: int
     n_samples: int
     eps_qcels_norm: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.eps_qcels_norm <= 1:
+            raise ValueError(f"QCELS precision must be in (0, 1], got {self.eps_qcels_norm}")
+        if not self.delta > 0:
+            raise ValueError(f"QCELS delta must be positive, got {self.delta}")
 
     @property
     def levels(self) -> int:
@@ -161,12 +164,29 @@ def calibrate_w_norm(
 # Configuration
 
 
+def _real(v) -> bool:  # a JSON number a float can hold; type() rules out bools
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# "section.key" -> (requirement, check); the key is an EstimatorConfig field
 _SCHEMA = {
-    "model": {"t", "u"},
-    "injection": {"k"},
-    "code": {"p_phys", "eps_logerr", "d_override"},
-    "qcels": {"delta", "n_pairs", "n_samples", "eps_targ"},
-    "trotter": {"w_norm"},
+    "model.t": ("a number > 0", lambda v: _real(v) and v > 0),
+    "model.u": ("a number >= 0", lambda v: _real(v) and v >= 0),
+    "injection.k": (
+        "an integer >= 1 or null",
+        lambda v: v is None or type(v) is int and v >= 1,
+    ),
+    "code.p_phys": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
+    "code.eps_logerr": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
+    "code.d_override": (
+        "an odd integer >= 3 or null",
+        lambda v: v is None or type(v) is int and v >= 3 and v % 2 == 1,
+    ),
+    "qcels.delta": ("a number > 0", lambda v: _real(v) and v > 0),
+    "qcels.n_pairs": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+    "qcels.n_samples": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "qcels.eps_targ": ("a number in (0, 1]", lambda v: _real(v) and 0 < v <= 1),
+    "trotter.w_norm": ("a number > 0 or null", lambda v: v is None or _real(v) and v > 0),
 }
 
 
@@ -186,21 +206,24 @@ class EstimatorConfig:
 
 
 def parse_config(obj: dict) -> EstimatorConfig:
-    """Build a config from the nested JSON schema, rejecting unknown keys."""
+    """Build a config from the nested JSON schema, rejecting unknown keys and
+    values of the wrong type or out of range."""
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(obj) - set(_SCHEMA)
-    if unknown:
-        raise ValueError(f"unknown config section: {sorted(unknown)[0]!r}")
+    sections = {name.split(".")[0] for name in _SCHEMA}
     cfg = EstimatorConfig()
-    for section, keys in _SCHEMA.items():
-        sub = obj.get(section, {})
+    for section, sub in obj.items():
+        if section not in sections:
+            raise ValueError(f"unknown config section: {section!r}")
         if not isinstance(sub, dict):
             raise ValueError(f"config section {section!r} must be an object")
-        bad = set(sub) - keys
-        if bad:
-            raise ValueError(f"unknown config key: {section}.{sorted(bad)[0]}")
         for key, value in sub.items():
+            name = f"{section}.{key}"
+            if name not in _SCHEMA:
+                raise ValueError(f"unknown config key: {name}")
+            requirement, check = _SCHEMA[name]
+            if not check(value):
+                raise ValueError(f"config key {name} must be {requirement}, got {value!r}")
             setattr(cfg, key, value)
     return cfg
 

@@ -66,7 +66,6 @@ Coord = tuple[int, int]
 
 @dataclass
 class Patch:
-    coord: Coord
     role: str  # "data" | "routing"
 
 
@@ -111,11 +110,11 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     for r in range(4):
         role = "data" if r in (0, 3) else "routing"
         for c in range(v):
-            cells[(r, c)] = Patch((r, c), role)
+            cells[(r, c)] = Patch(role)
     qpe = None
     if with_qpe_ancilla:
         qpe = (1, v)
-        cells[qpe] = Patch(qpe, "data")
+        cells[qpe] = Patch("data")
     return PatchGrid(n, cells, qpe)
 
 
@@ -162,10 +161,6 @@ class Timeline:
             + "\n"
             for start, op in self.ops
         )
-
-    def export_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ class AngleCapError(ValueError):
     """Raised when a trial angle leaves the small-angle protocol domain."""
 
 
+class InfeasibleModel(ValueError):
+    """Raised when no consistent resource assignment exists."""
+
+
 @dataclass(frozen=True)
 class InjectionConfig:
     """Injection protocol parameters.

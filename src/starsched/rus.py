@@ -15,9 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .injection import InjectionConfig, RotationRequest, success_prob
+from .injection import InfeasibleModel, InjectionConfig, RotationRequest, success_prob
 
 Coord = tuple[int, int]
+
+# Clock cap of one run: the longest golden run takes 352 clocks and the slowest
+# runs calibrate_p_pass meets (naive M = 32 at its floor log10 p = -4) about
+# 4·10^4, so a run past 10^6 clocks means a pass rate too small to model.
+MAX_RUN_CLOCKS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,8 @@ def simulate_parallel_rus(
         t = 0
         while remaining:
             t += 1
+            if t > MAX_RUN_CLOCKS:
+                raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
             finishing = []
             for p in procs:
                 if p.status == "measuring":

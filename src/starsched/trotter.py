@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from . import fabric
 from .fabric import SurgeryOp, Timeline, build_grid
@@ -40,26 +41,11 @@ CONTROLLED_BOUNDARY_CLOCKS = 16.0
 
 
 @dataclass(frozen=True)
-class AngleSet:
-    """Rotation angles of one step of duration dt (magnitudes)."""
-
-    theta_zz: float
-    theta_hop: float
-
-    @classmethod
-    def from_spec(cls, spec: HubbardSpec, dt: float) -> "AngleSet":
-        # each half step applies e^{-i c P dt/2}: onsite c = u/4, hopping |c| = t/2
-        return cls(theta_zz=spec.u * dt / 8, theta_hop=spec.t * dt / 4)
-
-
-@dataclass(frozen=True)
 class Batch:
     kind: str  # zz_rotation_layer | move_layer | xxyy_batch | fswap_layer |
     #            multi_cnot_layer | multi_cz_layer
-    rus_groups: tuple[tuple[int, str, float], ...]  # (count M, basis, theta*)
+    rus_groups: tuple[tuple[int, str], ...]  # (count M, basis)
     fixed_clocks: float
-    merged: bool = False
-    edges: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -79,16 +65,13 @@ class TrotterSchedule:
     def rus_group_multiset(self) -> Counter:
         out: Counter = Counter()
         for b in self.batches:
-            for m, basis, _theta in b.rus_groups:
-                out[(m, basis)] += 1
+            out.update(b.rus_groups)
         return out
 
     @property
     def total_clocks(self) -> float:
         return self.fixed_clocks + sum(
-            self.rus_clocks[(m, basis)]
-            for b in self.batches
-            for m, basis, _theta in b.rus_groups
+            self.rus_clocks[group] for b in self.batches for group in b.rus_groups
         )
 
 
@@ -163,9 +146,7 @@ def serial_clocks(n: int) -> float:
 
 def compile_step(
     n: int,
-    dt: float = 0.01,
     mode: str = "plain",
-    spec: HubbardSpec | None = None,
     pair: OrderingPair | None = None,
     t_rus=None,
 ) -> TrotterSchedule:
@@ -178,14 +159,9 @@ def compile_step(
     """
     if mode not in ("plain", "controlled"):
         raise ValueError(f"mode must be plain or controlled, got {mode!r}")
-    spec = spec or HubbardSpec(n)
-    if spec.n != n:
-        raise ValueError("lattice size disagrees with model spec")
     pair = pair or default_orderings(n)
     fswaps = route_orderings(pair)
-    angles = AngleSet.from_spec(spec, dt)
     v = n * n
-    m_hop = n * (n - 1)  # edges per sub-layer x two spins = V - n
     model = t_rus or rough_t_rus
     rus_clocks = {
         (v, "ZZ"): round(model(v, "ZZ") * 2) / 2,
@@ -197,7 +173,8 @@ def compile_step(
     sub_b = sublayers(pair.edges_b, pair.order_b)
 
     batches: list[Batch] = []
-    grid = build_grid(n, with_qpe_ancilla=(mode == "controlled"))
+    controlled = mode == "controlled"
+    grid = build_grid(n, with_qpe_ancilla=controlled)
     timeline = Timeline()
     clock = [0.0]  # running start time, mutated by emitters
     order = list(pair.order_a)
@@ -220,7 +197,7 @@ def compile_step(
                 start,
                 SurgeryOp("rus_block_zz", ((0, c), (1, c), (2, c), (3, c)), dur),
             )
-        batches.append(Batch("zz_rotation_layer", ((v, "ZZ", angles.theta_zz),), 0.0))
+        batches.append(Batch("zz_rotation_layer", ((v, "ZZ"),), 0.0))
 
     def emit_move_layer() -> None:
         start = advance(MOVE_CLOCKS)
@@ -231,7 +208,7 @@ def compile_step(
             )
         batches.append(Batch("move_layer", (), MOVE_CLOCKS))
 
-    def emit_xxyy(edges, theta: float, merged: bool) -> None:
+    def emit_xxyy(edges) -> None:
         dur = (
             XXYY_FIXED_CLOCKS
             + rus_clocks[(v - n, "ZZ")]
@@ -250,13 +227,7 @@ def compile_step(
                 SurgeryOp("xxyy_block", ((3, p1), (3, p2), (2, p1), (2, p2)), dur),
             )
         batches.append(
-            Batch(
-                "xxyy_batch",
-                ((v - n, "ZZ", theta), (v - n, "Z", theta)),
-                XXYY_FIXED_CLOCKS,
-                merged=merged,
-                edges=tuple(edges),
-            )
+            Batch("xxyy_batch", ((v - n, "ZZ"), (v - n, "Z")), XXYY_FIXED_CLOCKS)
         )
 
     def emit_fswap_layer(layer: tuple[int, ...]) -> None:
@@ -300,30 +271,17 @@ def compile_step(
             timeline.add(start, SurgeryOp("multi_target_cz", parts, dur))
         batches.append(Batch("multi_cz_layer", (), MULTI_CZ_LAYER_CLOCKS))
 
-    controlled = mode == "controlled"
+    # The step is a palindrome about B1: the two middle B1 batches of the
+    # mirrored halves are merged into one at doubled angle.
+    half = [emit_multi_cnot] if controlled else []
+    half += [emit_zz_layer, emit_move_layer]
     if controlled:
-        emit_multi_cnot()
-    emit_zz_layer()
-    emit_move_layer()
-    if controlled:
-        emit_multi_cz()
-    emit_xxyy(sub_a[0], angles.theta_hop, merged=False)
-    emit_xxyy(sub_a[1], angles.theta_hop, merged=False)
-    for layer in fswaps.layers:
-        emit_fswap_layer(layer)
-    emit_xxyy(sub_b[0], angles.theta_hop, merged=False)
-    emit_xxyy(sub_b[1], 2 * angles.theta_hop, merged=True)
-    emit_xxyy(sub_b[0], angles.theta_hop, merged=False)
-    for layer in reversed(fswaps.layers):
-        emit_fswap_layer(layer)
-    emit_xxyy(sub_a[1], angles.theta_hop, merged=False)
-    emit_xxyy(sub_a[0], angles.theta_hop, merged=False)
-    if controlled:
-        emit_multi_cz()
-    emit_move_layer()
-    emit_zz_layer()
-    if controlled:
-        emit_multi_cnot()
+        half.append(emit_multi_cz)
+    half += [partial(emit_xxyy, sub_a[0]), partial(emit_xxyy, sub_a[1])]
+    half += [partial(emit_fswap_layer, layer) for layer in fswaps.layers]
+    half.append(partial(emit_xxyy, sub_b[0]))
+    for emit in half + [partial(emit_xxyy, sub_b[1])] + half[::-1]:
+        emit()
 
     assert tuple(order) == pair.order_a, "step must restore the initial ordering"
 

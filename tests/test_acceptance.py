@@ -278,3 +278,42 @@ def test_14_unseeded_commands_match_golden_outputs(tmp_path, item):
     assert out.read_text() == golden["out"]
     if extra:
         assert hashlib.sha256(timeline.read_bytes()).hexdigest() == golden["timeline"]
+
+
+# 15 ---------------------------------------------------------------------
+# The seeded Monte Carlo items of perfbench/workloads.py, with the argv it
+# runs them with at the golden seed: rus-adaptive (100 runs per batch shape,
+# M <= 36 only, to keep the suite fast), rus-calibrate's naive and adaptive
+# runs at the golden calibrated rate (200 runs), and qcels-demo.
+SEEDED_GOLDEN = {
+    f"rus-m{m}-{basis}": (
+        "rus-adaptive",
+        ["simulate-rus", "--m", str(m), "--basis", basis, "--mode", "adaptive",
+         "--runs", "100", "--seed", "0"],
+    )
+    for m, basis in ((12, "Z"), (12, "ZZ"), (16, "ZZ"), (30, "Z"), (30, "ZZ"), (36, "ZZ"))
+}
+SEEDED_GOLDEN.update(
+    {
+        f"{mode}-m32": (
+            "rus-calibrate",
+            ["simulate-rus", "--m", "32", "--basis", "Z", "--p-pass", "{rate}",
+             "--mode", mode, "--runs", "200", "--seed", "0"],
+        )
+        for mode in ("naive", "adaptive")
+    }
+)
+SEEDED_GOLDEN["qcels-demo"] = ("estimate-qcels", ["qcels-demo", "--eps", "0.01", "--seed", "0"])
+
+
+@pytest.mark.parametrize("item", sorted(SEEDED_GOLDEN))
+def test_15_seeded_commands_match_golden_outputs(tmp_path, item):
+    workload, argv = SEEDED_GOLDEN[item]
+    items = json.loads((GOLDEN / f"{workload}.json").read_text())["items"]
+    rate = items["calibrate"]["rate"] if workload == "rus-calibrate" else ""
+    golden = items[item]
+    files = {kind: tmp_path / kind for kind in golden}
+    extra = [a for kind, path in files.items() for a in (f"--{kind}", str(path))]
+    assert run([a.format(rate=rate) for a in argv] + extra) == 0
+    for kind, path in files.items():
+        assert path.read_text() == golden[kind], kind

@@ -164,6 +164,9 @@ def test_repeat_runs_byte_identical(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
+ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -174,12 +177,56 @@ def test_repeat_runs_byte_identical(tmp_path, argv):
         ["simulate-rus", "--p-pass", "1.5"],
         ["simulate-rus", "--p-pass-table", "{dir}/zero.json"],
         ["simulate-rus", "--p-pass-table", "{dir}/null.json"],
+        ["qcels-demo", "--eps", "0"],
+        ["qcels-demo", "--eps", "2"],
+        ["qcels-demo", "--delta", "0"],
+        *(
+            ESTIMATE + ["--config", config]
+            for config in (
+                {"qcels": {"eps_targ": 100}},
+                {"code": {"p_phys": "x"}},
+                {"code": {"p_phys": -1}},
+                {"model": {"t": 10**400}},
+                {"model": {"u": None}},
+                {"code": {"d_override": 8}},
+                {"code": {"d_override": 1}},
+                {"qcels": {"n_pairs": 1.5}},
+                {"qcels": {"n_samples": True}},
+            )
+        ),
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
     for name, rate in (("zero", 0.0), ("null", None)):
         (tmp_path / f"{name}.json").write_text(json.dumps({"9,0.0001": rate}))
+    config = argv[-1] if isinstance(argv[-1], dict) else None
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv[:-1] + ["{dir}/config.json"]
     assert run([a.format(dir=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if config is not None:  # one key per config, named in the message
+        ((section, keys),) = config.items()
+        assert f"{section}.{next(iter(keys))}" in err
+
+
+def test_runaway_rus_run_is_infeasible(capsys):
+    assert run(["simulate-rus", "--m", "4", "--runs", "1", "--p-pass", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile-trotter", "--dt", "0.5"],
+        ["estimate", "--seed", "1"],
+        ["avg-trials", "--format", "text"],
+    ],
+)
+def test_deleted_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

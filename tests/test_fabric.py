@@ -127,16 +127,13 @@ def test_validation_is_order_independent(rnd):
     assert validate(tl, grid) == expected
 
 
-def test_export_jsonl_round_trip(tmp_path):
+def test_export_jsonl_round_trip():
     import json
 
     tl = Timeline()
     tl.add(0.0, SurgeryOp("cnot", ((0, 0), (1, 0)), 3))
     tl.add(3.0, SurgeryOp("cz", ((0, 0), (1, 0)), 4))
-    path = tmp_path / "tl.jsonl"
-    tl.export_jsonl(path)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines = [json.loads(line) for line in tl.to_jsonl().splitlines()]
     assert lines[0]["kind"] == "cnot" and lines[0]["start"] == 0.0
     assert lines[1]["duration"] == 4
     assert tl.horizon == 7.0
-    assert path.read_text() == tl.to_jsonl()

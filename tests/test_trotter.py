@@ -6,22 +6,14 @@ from collections import Counter
 import pytest
 
 from starsched.fabric import validate
-from starsched.hubbard import HubbardSpec
 from starsched.trotter import (
     CONTROLLED_STEP_CLOCKS,
-    AngleSet,
     anticommuting_controls,
     compile_step,
     rough_t_rus,
     serial_clocks,
     trotter_clocks,
 )
-
-
-def test_angles_from_couplings():
-    angles = AngleSet.from_spec(HubbardSpec(4, t=1.0, u=4.0), dt=0.01)
-    assert angles.theta_zz == pytest.approx(4.0 * 0.01 / 8)
-    assert angles.theta_hop == pytest.approx(1.0 * 0.01 / 4)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
