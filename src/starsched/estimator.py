@@ -41,6 +41,8 @@ class QcelsParams:
             raise ValueError(f"QCELS precision must be in (0, 1], got {self.eps_qcels_norm}")
         if not self.delta > 0:
             raise ValueError(f"QCELS delta must be positive, got {self.delta}")
+        if self.n_samples < 0:
+            raise ValueError(f"QCELS sample count must be at least 0, got {self.n_samples}")
 
     @property
     def levels(self) -> int:

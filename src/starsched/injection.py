@@ -132,7 +132,7 @@ def theta_for_target(theta_star: float, k: int) -> float:
     The forward map is strictly monotone on [0, π/4]; bisection to 1e-15
     gives round-trip residuals below 1e-12 relative.
     """
-    if theta_star < 0 or theta_star > effective_angle(ANGLE_CAP, k):
+    if not 0 <= theta_star <= effective_angle(ANGLE_CAP, k):
         raise ValueError(f"target angle {theta_star} outside invertible domain")
     if theta_star == 0:
         return 0.0
@@ -163,4 +163,9 @@ def pec_sampling_factor(eps: float) -> float:
     """Sampling overhead of cancelling a probabilistic error of rate ε: e^{4ε}."""
     if eps < 0:
         raise ValueError("error rate must be nonnegative")
-    return math.exp(4 * eps)
+    try:
+        return math.exp(4 * eps)
+    except OverflowError:
+        raise InfeasibleModel(
+            f"PEC mitigation overhead e^(4·{eps:.4g}) is too large for a float"
+        ) from None

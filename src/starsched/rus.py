@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .injection import InfeasibleModel, InjectionConfig, RotationRequest, success_prob
+from .injection import (
+    SHIPPED_CONFIGS,
+    InfeasibleModel,
+    InjectionConfig,
+    RotationRequest,
+    success_prob,
+)
 
 Coord = tuple[int, int]
 
@@ -70,24 +76,26 @@ def update_injection_regions(
     region with the fewest patches at the start of the step (ties to the
     lower process id).  Growth stops when no free adjacent node remains.
     Assigned nodes are removed from ``free`` in place.
+
+    Each ring claims every free neighbour of the cells it scans, so after the
+    first ring only the cells the previous ring added can reach a free node.
     """
-    regions = {pid: set(cells) for pid, cells in regions.items()}
+    regions = ring = {pid: set(cells) for pid, cells in regions.items()}
     while True:
-        sizes = {pid: len(cells) for pid, cells in regions.items()}
-        claims: dict[Coord, list[int]] = {}
-        for pid in sorted(regions):
-            for cell in regions[pid]:
+        winner: dict[Coord, tuple[int, int]] = {}
+        for pid, cells in ring.items():
+            claim = (len(regions[pid]), pid)
+            for cell in cells:
                 for nb in neighbors(cell):
-                    if nb in free:
-                        claimants = claims.setdefault(nb, [])
-                        if pid not in claimants:
-                            claimants.append(pid)
-        if not claims:
+                    if nb in free and (nb not in winner or claim < winner[nb]):
+                        winner[nb] = claim
+        if not winner:
             return regions
-        for node in sorted(claims):
-            winner = min(claims[node], key=lambda pid: (sizes[pid], pid))
-            regions[winner].add(node)
-            free.discard(node)
+        ring = {}
+        for node, (_, pid) in winner.items():
+            regions[pid].add(node)
+            ring.setdefault(pid, []).append(node)
+        free.difference_update(winner)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +125,6 @@ class RusStats:
         ordered = sorted(self.completions)
         idx = min(len(ordered) - 1, math.ceil(q / 100 * len(ordered)) - 1)
         return ordered[max(idx, 0)]
-
-
-class _Proc:
-    __slots__ = ("pid", "k", "status", "meas_left", "buffered", "region")
-
-    def __init__(self, pid: int, region: set[Coord]):
-        self.pid = pid
-        self.k = 1
-        self.status = "awaiting"  # awaiting | ready | measuring | done
-        self.meas_left = 0
-        self.buffered = False
-        self.region = region
 
 
 def benchmark_layout(m: int, basis: str):
@@ -164,15 +160,12 @@ def benchmark_layout(m: int, basis: str):
 
 
 def _grid_neighbors(cells: set[Coord]):
-    def neighbors(coord: Coord):
-        r, c = coord
-        return [
-            nb
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
-            if nb in cells
-        ]
-
-    return neighbors
+    """Lookup of each cell's in-grid neighbours, built once per grid."""
+    table = {
+        (r, c): [nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if nb in cells]
+        for r, c in cells
+    }
+    return table.__getitem__
 
 
 def simulate_parallel_rus(
@@ -202,65 +195,52 @@ def simulate_parallel_rus(
     target_cells = {c for t in targets.values() for c in t}
     free0 = cells - target_cells - {c for r in regions0.values() for c in r}
     meas_clocks = 1 if basis == "Z" else 2
-    a = cfg.attempts_per_clock
+    adaptive = mode == "adaptive"
 
     # per-attempt success probability by trial index (angle doubles each trial)
     p_cache: dict[int, float] = {}
 
-    def p_attempt(k: int) -> float:
+    def q(k: int, size: int) -> float:
+        """Chance that one clock of size·a attempts prepares a trial-k ancilla."""
         if k not in p_cache:
             p_cache[k] = success_prob(RotationRequest(theta_star, basis, k), cfg)
-        return p_cache[k]
+        return 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
 
     def run_once(run_idx: int) -> int:
         rng = np.random.default_rng((seed, run_idx))
-        procs = [_Proc(pid, set(regions0[pid])) for pid in range(m)]
+        # A process is ongoing while its pid is a key of regions; it is
+        # measuring while meas_left > 0 and awaiting an ancilla otherwise.
+        regions = {pid: set(region) for pid, region in regions0.items()}
+        k = [1] * m
+        meas_left = [0] * m
+        buffered = [False] * m
         free = set(free0)
-        remaining = m
         t = 0
-        while remaining:
+        while regions:
             t += 1
             if t > MAX_RUN_CLOCKS:
                 raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
             finishing = []
-            for p in procs:
-                if p.status == "measuring":
-                    if mode == "adaptive" and not p.buffered:
-                        q = 1 - (1 - p_attempt(p.k + 1)) ** (len(p.region) * a)
-                        if rng.random() < q:
-                            p.buffered = True
-                    p.meas_left -= 1
-                    if p.meas_left == 0:
-                        finishing.append(p)
-                elif p.status == "awaiting":
-                    q = 1 - (1 - p_attempt(p.k)) ** (len(p.region) * a)
-                    if rng.random() < q:
-                        p.status = "ready"
-            completed = False
-            for p in finishing:
+            for pid, region in regions.items():
+                if meas_left[pid]:
+                    if adaptive and not buffered[pid]:
+                        buffered[pid] = rng.random() < q(k[pid] + 1, len(region))
+                    meas_left[pid] -= 1
+                    if not meas_left[pid]:
+                        finishing.append(pid)
+                elif rng.random() < q(k[pid], len(region)):
+                    meas_left[pid] = meas_clocks
+            ongoing = len(regions)
+            for pid in finishing:
                 if rng.random() < 0.5:
-                    p.status = "done"
-                    free |= p.region
-                    p.region = set()
-                    remaining -= 1
-                    completed = True
+                    free |= regions.pop(pid)
                 else:
-                    p.k += 1
-                    if p.buffered:
-                        p.buffered = False
-                        p.status = "ready"
-                    else:
-                        p.status = "awaiting"
-            if completed and mode == "adaptive" and remaining:
-                ongoing = {p.pid: p.region for p in procs if p.status != "done"}
-                grown = update_injection_regions(free, ongoing, neighbors)
-                for p in procs:
-                    if p.pid in grown:
-                        p.region = grown[p.pid]
-            for p in procs:
-                if p.status == "ready":
-                    p.status = "measuring"
-                    p.meas_left = meas_clocks
+                    k[pid] += 1
+                    if buffered[pid]:
+                        buffered[pid] = False
+                        meas_left[pid] = meas_clocks
+            if adaptive and 0 < len(regions) < ongoing:
+                regions = update_injection_regions(free, regions, neighbors)
         return t
 
     completions = tuple(run_once(i) for i in range(runs))
@@ -281,10 +261,6 @@ def calibrate_p_pass(
     Bisects on log10(p_pass); the naive mean is monotone decreasing in the
     pass rate.
     """
-    from dataclasses import replace
-
-    from .injection import SHIPPED_CONFIGS
-
     base = cfg or SHIPPED_CONFIGS[9]
 
     def mean_at(log_p: float) -> float:

@@ -282,16 +282,19 @@ def test_14_unseeded_commands_match_golden_outputs(tmp_path, item):
 
 # 15 ---------------------------------------------------------------------
 # The seeded Monte Carlo items of perfbench/workloads.py, with the argv it
-# runs them with at the golden seed: rus-adaptive (100 runs per batch shape,
-# M <= 36 only, to keep the suite fast), rus-calibrate's naive and adaptive
-# runs at the golden calibrated rate (200 runs), and qcels-demo.
+# runs them with at the golden seed: rus-adaptive (100 runs for each of its 12
+# batch shapes), rus-calibrate's naive and adaptive runs at the golden
+# calibrated rate (200 runs), and qcels-demo.
 SEEDED_GOLDEN = {
     f"rus-m{m}-{basis}": (
         "rus-adaptive",
         ["simulate-rus", "--m", str(m), "--basis", basis, "--mode", "adaptive",
          "--runs", "100", "--seed", "0"],
     )
-    for m, basis in ((12, "Z"), (12, "ZZ"), (16, "ZZ"), (30, "Z"), (30, "ZZ"), (36, "ZZ"))
+    for m, basis in (
+        (12, "Z"), (12, "ZZ"), (16, "ZZ"), (30, "Z"), (30, "ZZ"), (36, "ZZ"),
+        (56, "Z"), (56, "ZZ"), (64, "ZZ"), (90, "Z"), (90, "ZZ"), (100, "ZZ"),
+    )
 }
 SEEDED_GOLDEN.update(
     {

@@ -194,6 +194,7 @@ ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
                 {"qcels": {"n_samples": True}},
             )
         ),
+        ["simulate-rus", "--theta", "nan"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -216,6 +217,20 @@ def test_runaway_rus_run_is_infeasible(capsys):
     assert run(["simulate-rus", "--m", "4", "--runs", "1", "--p-pass", "1e-12"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
+def test_negative_sample_count_is_named(capsys):
+    assert run(["qcels-demo", "--samples", "-1", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sample count" in err
+
+
+def test_overflowing_mitigation_overhead_is_infeasible(capsys):
+    assert run(["estimate", "--n", "300", "--calibrate-nmax", "3397"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+    assert "mitigation overhead" in err
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from starsched.injection import (
     ANGLE_CAP,
     SHIPPED_CONFIGS,
     AngleCapError,
+    InfeasibleModel,
     InjectionConfig,
     RotationRequest,
     effective_angle,
@@ -94,3 +95,11 @@ def test_rotation_error_scales_with_angle_and_rate():
 def test_mitigation_factor():
     assert pec_sampling_factor(0.0) == 1.0
     assert pec_sampling_factor(0.5) == pytest.approx(math.exp(2.0))
+    with pytest.raises(InfeasibleModel, match="mitigation overhead"):
+        pec_sampling_factor(200.0)
+
+
+@pytest.mark.parametrize("theta_star", [-0.1, math.nan, 1.0])
+def test_target_angle_outside_domain_rejected(theta_star):
+    with pytest.raises(ValueError, match="outside invertible domain"):
+        theta_for_target(theta_star, 3)

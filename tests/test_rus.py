@@ -1,4 +1,11 @@
-"""Analytic trial-count series and the parallel rotation Monte Carlo."""
+"""Analytic trial-count series and the parallel rotation Monte Carlo.
+
+``reference_update_injection_regions`` is the original region growth: every
+ring rescans all region cells and collects the claimants of each free node
+before picking the smallest region.  ``update_injection_regions`` scans only
+the previous ring's cells and keeps one winner per node; both must return the
+same regions, in the same key order, and leave the same free set.
+"""
 
 import math
 
@@ -77,9 +84,28 @@ def test_region_growth_stays_disjoint_and_consumes_free():
         assert not region & free  # claimed cells were removed from free
 
 
-@given(st.integers(1, 5), st.integers(1, 6), st.data())
-@settings(max_examples=300, deadline=None)
-def test_region_growth_invariants(rows, cols, data):
+def reference_update_injection_regions(free, regions, neighbors):
+    regions = {pid: set(cells) for pid, cells in regions.items()}
+    while True:
+        sizes = {pid: len(cells) for pid, cells in regions.items()}
+        claims = {}
+        for pid in sorted(regions):
+            for cell in regions[pid]:
+                for nb in neighbors(cell):
+                    if nb in free:
+                        claimants = claims.setdefault(nb, [])
+                        if pid not in claimants:
+                            claimants.append(pid)
+        if not claims:
+            return regions
+        for node in sorted(claims):
+            winner = min(claims[node], key=lambda pid: (sizes[pid], pid))
+            regions[winner].add(node)
+            free.discard(node)
+
+
+def draw_grid(rows, cols, data):
+    """Neighbour function, free set and regions of a random labelled grid."""
     # label per cell: -3 hole (not a cell), -2 target, -1 free, 0..3 region id
     labels = {(r, c): data.draw(st.integers(-3, 3)) for r in range(rows) for c in range(cols)}
     neighbors = _grid_neighbors({cell for cell, lab in labels.items() if lab != -3})
@@ -88,6 +114,13 @@ def test_region_growth_invariants(rows, cols, data):
     for cell, lab in labels.items():
         if lab >= 0:
             regions.setdefault(lab, set()).add(cell)
+    return neighbors, free, regions
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_region_growth_invariants(rows, cols, data):
+    neighbors, free, regions = draw_grid(rows, cols, data)
     free_before = set(free)
     grown = update_injection_regions(free, regions, neighbors)
     claimed = [cell for region in grown.values() for cell in region]
@@ -96,6 +129,18 @@ def test_region_growth_invariants(rows, cols, data):
     assert all(grown[pid] >= region for pid, region in regions.items())
     assert set(claimed) - set().union(*regions.values()) == free_before - free
     assert not {nb for cell in claimed for nb in neighbors(cell)} & free
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_region_growth_matches_reference(rows, cols, data):
+    neighbors, free, regions = draw_grid(rows, cols, data)
+    free_ref = set(free)
+    grown = update_injection_regions(free, regions, neighbors)
+    expected = reference_update_injection_regions(free_ref, regions, neighbors)
+    assert grown == expected
+    assert list(grown) == list(expected)
+    assert free == free_ref
 
 
 def test_region_tie_break_prefers_lower_id():
