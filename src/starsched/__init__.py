@@ -20,7 +20,6 @@ from .hubbard import (
     OrderingPair,
     build_hamiltonian,
     default_orderings,
-    load_ordering_pair,
     one_norm,
     route_orderings,
     validate_ordering_pair,
@@ -30,7 +29,6 @@ from .injection import (
     SHIPPED_CONFIGS,
     AngleCapError,
     InjectionConfig,
-    RotationRequest,
     pec_sampling_factor,
     rus_error_rate,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "OrderingPair",
     "PatchGrid",
     "QcelsParams",
-    "RotationRequest",
     "RusStats",
     "SignalSeries",
     "SurgeryOp",
@@ -83,7 +80,6 @@ __all__ = [
     "controlled_circuit_clocks",
     "default_orderings",
     "expected_trials",
-    "load_ordering_pair",
     "multilevel_qcels",
     "one_norm",
     "parse_config",

@@ -24,8 +24,8 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from .estimator import EstimatorConfig, InfeasibleModel, build_report, parse_config
-from .injection import SHIPPED_CONFIGS, load_p_pass_table
+from .estimator import EstimatorConfig, InfeasibleModel, _real, build_report, parse_config
+from .injection import SHIPPED_CONFIGS
 from .qcels import SyntheticSpectrum, multilevel_qcels, wrap_phase
 from .rus import expected_trials, simulate_parallel_rus
 from .trotter import compile_step, rough_t_rus, serial_clocks, trotter_clocks
@@ -73,14 +73,14 @@ def _injection_config(args):
     updates: dict = {}
     if args.p_pass is not None:
         updates["p_pass"] = args.p_pass
-    elif args.p_pass_table is not None:
-        updates["p_pass"] = load_p_pass_table(args.p_pass_table)
     if args.attempts is not None:
         updates["attempts_per_clock"] = args.attempts
     return replace(cfg, **updates) if updates else cfg
 
 
 def cmd_avg_trials(args) -> int:
+    if args.m_max < 1:
+        raise ValueError(f"--m-max must be at least 1, got {args.m_max}")
     rows = [[m, f"{expected_trials(m):.6f}"] for m in range(1, args.m_max + 1)]
     _emit(args, _csv_text(["m", "avg_trials"], rows))
     return 0
@@ -159,6 +159,15 @@ def cmd_qcels_demo(args) -> int:
     if args.spectrum:
         with open(args.spectrum) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("spectrum must be a JSON object {phases, weights}")
+        unknown = sorted(obj.keys() - {"phases", "weights"})
+        if unknown:
+            raise ValueError(f"unknown spectrum key: {unknown[0]}")
+        for key in ("phases", "weights"):
+            values = obj.get(key)
+            if not isinstance(values, list) or not all(map(_real, values)):
+                raise ValueError(f"spectrum key {key} must be a list of numbers")
         spectrum = SyntheticSpectrum(tuple(obj["phases"]), tuple(obj["weights"]))
     else:
         spectrum = SyntheticSpectrum(
@@ -223,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("naive", "adaptive"), default="adaptive")
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--p-pass", type=float, default=None, help="constant pass rate")
-    p.add_argument("--p-pass-table", default=None, help="JSON pass-rate table file")
     p.add_argument("--attempts", type=int, default=None, help="attempts per clock")
     p.add_argument("--hist", default=None, help="write histogram CSV to this path")
     p.set_defaults(func=cmd_simulate_rus)

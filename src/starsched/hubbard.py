@@ -8,8 +8,7 @@ sectors share the same site ordering on separate lines.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OrderingError(ValueError):
@@ -45,17 +44,6 @@ class PauliTerm:
     kind: str  # "hopping_xx" | "hopping_yy" | "onsite_zz"
 
 
-@dataclass
-class PauliTermSet:
-    terms: list[PauliTerm] = field(default_factory=list)
-
-    def by_kind(self, kind: str) -> list[PauliTerm]:
-        return [t for t in self.terms if t.kind == kind]
-
-    def one_norm(self) -> float:
-        return sum(abs(t.coefficient) for t in self.terms)
-
-
 def grid_edges(n: int) -> list[tuple[int, int]]:
     """All nearest-neighbour edges of the n x n grid, as sorted site pairs."""
     edges = []
@@ -69,7 +57,7 @@ def grid_edges(n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def build_hamiltonian(spec: HubbardSpec) -> PauliTermSet:
+def build_hamiltonian(spec: HubbardSpec) -> list[PauliTerm]:
     """Qubit Hamiltonian terms for the Hubbard instance.
 
     Each hopping edge contributes an XX and a YY term per spin sector with
@@ -79,18 +67,18 @@ def build_hamiltonian(spec: HubbardSpec) -> PauliTermSet:
     u/4 coupling its two spin-orbitals.  Identity offsets are dropped.
     """
     v = spec.volume
-    out = PauliTermSet()
+    out: list[PauliTerm] = []
     for spin in (0, 1):
         for a, b in grid_edges(spec.n):
             qa, qb = spin * v + a, spin * v + b
-            out.terms.append(
+            out.append(
                 PauliTerm(-spec.t / 2, ((qa, "X"), (qb, "X")), "hopping_xx")
             )
-            out.terms.append(
+            out.append(
                 PauliTerm(-spec.t / 2, ((qa, "Y"), (qb, "Y")), "hopping_yy")
             )
     for s in range(v):
-        out.terms.append(
+        out.append(
             PauliTerm(spec.u / 4, ((s, "Z"), (v + s, "Z")), "onsite_zz")
         )
     return out
@@ -241,27 +229,6 @@ def sublayers(
                 raise OrderingError(f"sub-layer not vertex-disjoint at edge ({a},{b})")
             seen.update((a, b))
     return tuple(half0), tuple(half1)
-
-
-def load_ordering_pair(path_or_obj) -> OrderingPair:
-    """Load and validate an ordering pair from a JSON file or dict."""
-    if isinstance(path_or_obj, dict):
-        obj = path_or_obj
-    else:
-        with open(path_or_obj) as fh:
-            obj = json.load(fh)
-    try:
-        pair = OrderingPair(
-            n=int(obj["n"]),
-            order_a=tuple(obj["order_a"]),
-            order_b=tuple(obj["order_b"]),
-            edges_a=tuple(tuple(sorted(e)) for e in obj["edges_a"]),
-            edges_b=tuple(tuple(sorted(e)) for e in obj["edges_b"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise OrderingError(f"malformed ordering pair data: {exc}") from exc
-    validate_ordering_pair(pair)
-    return pair
 
 
 def default_orderings(n: int) -> OrderingPair:

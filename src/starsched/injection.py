@@ -8,7 +8,6 @@ postselecting; the surviving state realizes an effective logical rotation by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,93 +24,34 @@ class InfeasibleModel(ValueError):
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    """Injection protocol parameters.
-
-    ``q_sizes`` are the sizes of the k disjoint physical-qubit subsets along
-    the logical-Z representative; they must tile the full distance-d chain.
-    ``p_pass`` is a constant pass rate or a table keyed by "d,p_phys".
-    """
+    """Injection protocol parameters: k subsets, a constant pass rate and
+    injection attempts per clock per region cell."""
 
     k: int
-    q_sizes: tuple[int, ...]
-    d: int
-    p_phys: float = 1e-4
-    p_pass: float | dict = 1.0
+    p_pass: float = 1.0
     attempts_per_clock: int = 3
 
     def __post_init__(self) -> None:
-        if self.k != len(self.q_sizes):
-            raise ValueError(f"k={self.k} but {len(self.q_sizes)} subset sizes given")
-        if sum(self.q_sizes) != self.d:
-            raise ValueError(
-                f"subset sizes {self.q_sizes} sum to {sum(self.q_sizes)}, "
-                f"expected d={self.d}"
-            )
         if self.attempts_per_clock < 1:
             raise ValueError("attempts_per_clock must be at least 1")
-        for rate in self.p_pass.values() if isinstance(self.p_pass, dict) else [self.p_pass]:
-            _check_pass_rate(rate)
-
-    def pass_rate(self) -> float:
-        if isinstance(self.p_pass, dict):
-            key = f"{self.d},{self.p_phys:g}"
-            try:
-                return float(self.p_pass[key])
-            except KeyError:
-                raise KeyError(f"p_pass table has no entry for {key!r}") from None
-        return float(self.p_pass)
+        if not 0 < self.p_pass <= 1:
+            raise ValueError(f"pass rate must be a number in (0, 1], got {self.p_pass!r}")
 
 
-def _check_pass_rate(rate) -> float:
-    try:
-        value = float(rate)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not 0 < value <= 1:
-        raise ValueError(f"pass rate must be a number in (0, 1], got {rate!r}")
-    return value
+# Shipped configurations by code distance; the k subsets along the logical-Z
+# representative have sizes (3, 3, 3) at d = 9 and (2, 2, 2, 2, 3) at d = 11.
+SHIPPED_CONFIGS = {9: InjectionConfig(k=3), 11: InjectionConfig(k=5)}
 
 
-# Shipped configurations (distance: subset sizes).
-SHIPPED_CONFIGS = {
-    9: InjectionConfig(k=3, q_sizes=(3, 3, 3), d=9),
-    11: InjectionConfig(k=5, q_sizes=(2, 2, 2, 2, 3), d=11),
-}
-
-
-def load_p_pass_table(path) -> dict:
-    """Load a pass-rate table: JSON map {"d,p_phys": rate}."""
-    with open(path) as fh:
-        table = json.load(fh)
-    if not isinstance(table, dict):
-        raise ValueError("p_pass table must be a JSON object")
-    return {str(k): _check_pass_rate(v) for k, v in table.items()}
-
-
-@dataclass(frozen=True)
-class RotationRequest:
-    """One rotation to realize: target angle θ*, basis, and current trial index."""
-
-    target_angle: float
-    basis: str  # "Z" | "ZZ"
-    trial_index: int = 1
-
-    def __post_init__(self) -> None:
-        if self.basis not in ("Z", "ZZ"):
-            raise ValueError(f"basis must be Z or ZZ, got {self.basis!r}")
-        if self.trial_index < 1:
-            raise ValueError("trial index starts at 1")
-
-    @property
-    def trial_angle(self) -> float:
-        """Angle for the current trial: doubles after each failure."""
-        theta = 2 ** (self.trial_index - 1) * self.target_angle
-        if abs(theta) > ANGLE_CAP:
-            raise AngleCapError(
-                f"trial angle {theta:.4g} exceeds the small-angle cap "
-                f"{ANGLE_CAP:.4g} at trial {self.trial_index}"
-            )
-        return theta
+def trial_angle(target_angle: float, trial: int) -> float:
+    """Angle for trial ``trial`` (from 1): doubles after each failure."""
+    theta = 2 ** (trial - 1) * target_angle
+    if abs(theta) > ANGLE_CAP:
+        raise AngleCapError(
+            f"trial angle {theta:.4g} exceeds the small-angle cap "
+            f"{ANGLE_CAP:.4g} at trial {trial}"
+        )
+    return theta
 
 
 def p_ideal(theta: float, k: int) -> float:
@@ -148,10 +88,10 @@ def theta_for_target(theta_star: float, k: int) -> float:
     return (lo + hi) / 2
 
 
-def success_prob(req: RotationRequest, cfg: InjectionConfig) -> float:
-    """Per-attempt success probability at the request's current trial angle."""
-    theta = theta_for_target(abs(req.trial_angle), cfg.k)
-    return p_ideal(theta, cfg.k) * cfg.pass_rate()
+def success_prob(target_angle: float, trial: int, cfg: InjectionConfig) -> float:
+    """Per-attempt success probability at the given trial's angle."""
+    theta = theta_for_target(abs(trial_angle(target_angle, trial)), cfg.k)
+    return p_ideal(theta, cfg.k) * cfg.p_pass
 
 
 def rus_error_rate(theta_star: float, p_phys: float, k: int) -> float:

@@ -19,7 +19,6 @@ from .injection import (
     SHIPPED_CONFIGS,
     InfeasibleModel,
     InjectionConfig,
-    RotationRequest,
     success_prob,
 )
 
@@ -203,7 +202,7 @@ def simulate_parallel_rus(
     def q(k: int, size: int) -> float:
         """Chance that one clock of size·a attempts prepares a trial-k ancilla."""
         if k not in p_cache:
-            p_cache[k] = success_prob(RotationRequest(theta_star, basis, k), cfg)
+            p_cache[k] = success_prob(theta_star, k, cfg)
         return 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
 
     def run_once(run_idx: int) -> int:

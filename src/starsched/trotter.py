@@ -116,8 +116,7 @@ def anticommuting_controls(n: int):
         if (r + c) % 2 == 1
     )
     k1 = tuple((v + s, "X") for s in range(v))
-    terms = build_hamiltonian(HubbardSpec(n))
-    for term in terms.terms:
+    for term in build_hamiltonian(HubbardSpec(n)):
         control = k0 if term.kind.startswith("hopping") else k1
         if not _anticommutes(control, term.support):
             raise AssertionError(
@@ -144,12 +143,7 @@ def serial_clocks(n: int) -> float:
     return 154 * v - 152 * m
 
 
-def compile_step(
-    n: int,
-    mode: str = "plain",
-    pair: OrderingPair | None = None,
-    t_rus=None,
-) -> TrotterSchedule:
+def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
     """Compile one Trotter step to batches plus a validated patch timeline.
 
     ``t_rus(M, basis)`` supplies the clock count charged to each RUS batch
@@ -159,7 +153,7 @@ def compile_step(
     """
     if mode not in ("plain", "controlled"):
         raise ValueError(f"mode must be plain or controlled, got {mode!r}")
-    pair = pair or default_orderings(n)
+    pair = default_orderings(n)
     fswaps = route_orderings(pair)
     v = n * n
     model = t_rus or rough_t_rus

@@ -175,8 +175,8 @@ ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
         ["estimate", "--n", "4", "--calibrate-nmax", "-5"],
         ["simulate-rus", "--p-pass", "0"],
         ["simulate-rus", "--p-pass", "1.5"],
-        ["simulate-rus", "--p-pass-table", "{dir}/zero.json"],
-        ["simulate-rus", "--p-pass-table", "{dir}/null.json"],
+        ["simulate-rus", "--p-pass", "nan"],
+        ["simulate-rus", "--attempts", "0"],
         ["qcels-demo", "--eps", "0"],
         ["qcels-demo", "--eps", "2"],
         ["qcels-demo", "--delta", "0"],
@@ -195,22 +195,36 @@ ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
             )
         ),
         ["simulate-rus", "--theta", "nan"],
+        *(
+            ["qcels-demo", "--spectrum", spectrum]
+            for spectrum in (
+                {"phases": 3, "weights": [1.0]},
+                [1, 2],
+                {"phases": ["a"], "weights": [1.0]},
+                {"noise": 0.1, "phases": [0.3], "weights": [1.0]},
+            )
+        ),
+        ["avg-trials", "--m-max", "0"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
-    for name, rate in (("zero", 0.0), ("null", None)):
-        (tmp_path / f"{name}.json").write_text(json.dumps({"9,0.0001": rate}))
-    config = argv[-1] if isinstance(argv[-1], dict) else None
-    if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        argv = argv[:-1] + ["{dir}/config.json"]
-    assert run([a.format(dir=tmp_path) for a in argv]) == 1
+    # a JSON value in the last place is written to a file passed in its stead
+    content = argv[-1] if not isinstance(argv[-1], str) else None
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = argv[:-1] + [str(path)]
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    if config is not None:  # one key per config, named in the message
-        ((section, keys),) = config.items()
+    if argv[-2] == "--config":  # one key per config, named in the message
+        ((section, keys),) = content.items()
         assert f"{section}.{next(iter(keys))}" in err
+    elif isinstance(content, dict):  # the offending spectrum key comes first
+        assert next(iter(content)) in err
+    elif argv[0] == "avg-trials":
+        assert "--m-max" in err
 
 
 def test_runaway_rus_run_is_infeasible(capsys):
@@ -239,6 +253,7 @@ def test_overflowing_mitigation_overhead_is_infeasible(capsys):
         ["compile-trotter", "--dt", "0.5"],
         ["estimate", "--seed", "1"],
         ["avg-trials", "--format", "text"],
+        ["simulate-rus", "--p-pass-table", "t.json"],
     ],
 )
 def test_deleted_options_are_usage_errors(argv):

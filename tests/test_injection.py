@@ -8,28 +8,26 @@ from hypothesis import strategies as st
 
 from starsched.injection import (
     ANGLE_CAP,
-    SHIPPED_CONFIGS,
     AngleCapError,
     InfeasibleModel,
     InjectionConfig,
-    RotationRequest,
     effective_angle,
     p_ideal,
     pec_sampling_factor,
     rus_error_rate,
     theta_for_target,
+    trial_angle,
 )
 
 
 def test_trial_angle_doubles_each_failure():
-    req = RotationRequest(0.01, "Z", 1)
-    assert math.isclose(req.trial_angle, 0.01)
-    assert math.isclose(RotationRequest(0.01, "Z", 3).trial_angle, 0.04)
+    assert math.isclose(trial_angle(0.01, 1), 0.01)
+    assert math.isclose(trial_angle(0.01, 3), 0.04)
 
 
 def test_trial_angle_cap():
     with pytest.raises(AngleCapError):
-        _ = RotationRequest(0.3, "Z", 3).trial_angle  # 1.2 > pi/4
+        trial_angle(0.3, 3)  # 1.2 > pi/4
 
 
 def test_p_ideal_limits():
@@ -60,31 +58,11 @@ def test_effective_angle_definition():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        InjectionConfig(k=3, q_sizes=(3, 3), d=9)
-    with pytest.raises(ValueError):
-        InjectionConfig(k=3, q_sizes=(3, 3, 4), d=9)
-    with pytest.raises(ValueError):
-        InjectionConfig(k=3, q_sizes=(3, 3, 3), d=9, attempts_per_clock=0)
-
-
-def test_shipped_configs_tile_their_distance():
-    for d, cfg in SHIPPED_CONFIGS.items():
-        assert cfg.d == d
-        assert sum(cfg.q_sizes) == d
-        assert cfg.k == len(cfg.q_sizes)
-
-
-def test_pass_rate_table_lookup():
-    cfg = InjectionConfig(
-        k=3, q_sizes=(3, 3, 3), d=9, p_phys=1e-4, p_pass={"9,0.0001": 0.5}
-    )
-    assert cfg.pass_rate() == 0.5
-    missing = InjectionConfig(
-        k=3, q_sizes=(3, 3, 3), d=9, p_phys=1e-3, p_pass={"9,0.0001": 0.5}
-    )
-    with pytest.raises(KeyError):
-        missing.pass_rate()
+    with pytest.raises(ValueError, match="attempts_per_clock"):
+        InjectionConfig(k=3, attempts_per_clock=0)
+    for rate in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="pass rate"):
+            InjectionConfig(k=3, p_pass=rate)
 
 
 def test_rotation_error_scales_with_angle_and_rate():

@@ -100,12 +100,34 @@ def test_controlled_timeline_validates():
 
 
 def test_control_paulis_anticommute_with_every_term():
-    # returns two control Pauli strings; the compiled checks are internal,
-    # so just confirm they exist and differ for a couple of sizes
-    for n in (2, 4):
+    # anticommuting_controls checks K0/K1 against the term set; the compiled
+    # controlled step must apply exactly those controls
+    from starsched.fabric import build_grid
+
+    for n in range(2, 9):
+        v = n * n
         k0, k1 = anticommuting_controls(n)
-        assert k0 != k1
-        assert k0 and k1
+        assert len(k1) == v and {letter for _, letter in k1} == {"X"}
+        sched = compile_step(n, mode="controlled")
+        pos_a = {s: p for p, s in enumerate(sched.pair.order_a)}
+        # data row 0 holds spin up (qubits 0..V-1), row 3 spin down (V..2V-1)
+        k0_cols = {
+            row: {pos_a[q - spin * v] for q, _ in k0 if q // v == spin}
+            for spin, row in ((0, 0), (1, 3))
+        }
+        cnot_parts = {build_grid(n, with_qpe_ancilla=True).qpe_ancilla}
+        cnot_parts |= {(row, c) for row in (1, 2) for c in range(v)}
+        kinds = Counter()
+        for _, op in sched.timeline.ops:
+            kinds[op.kind] += 1
+            if op.kind == "multi_target_cz":
+                data = [(r, c) for r, c in op.participants if r in (0, 3)]
+                (row,) = {r for r, _ in data}
+                assert {c for _, c in data} == k0_cols[row]
+            elif op.kind == "multi_target_cnot_reduced":
+                assert set(op.participants) == cnot_parts
+        assert kinds["multi_target_cz"] == 4
+        assert kinds["multi_target_cnot_reduced"] == 2
 
 
 def test_serial_baseline_counts():
