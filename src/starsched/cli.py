@@ -35,20 +35,23 @@ def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.
 
     The file gets the mode a plain open() would give it (0666 less the
-    umask), not mkstemp's 0600.
+    umask), not mkstemp's 0600.  An OSError names ``path``, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -43,6 +43,10 @@ class QcelsParams:
             raise ValueError(f"QCELS delta must be positive, got {self.delta}")
         if self.n_samples < 0:
             raise ValueError(f"QCELS sample count must be at least 0, got {self.n_samples}")
+        if self.n_pairs < 2:
+            raise ValueError(
+                f"QCELS data points per level must be at least 2, got {self.n_pairs}"
+            )
 
     @property
     def levels(self) -> int:

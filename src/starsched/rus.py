@@ -29,6 +29,10 @@ Coord = tuple[int, int]
 # 4·10^4, so a run past 10^6 clocks means a pass rate too small to model.
 MAX_RUN_CLOCKS = 1_000_000
 
+# Length of a run's block of uniforms (at least 2·M).  PCG64 gives the same
+# doubles to rng.random(n) as to n scalar rng.random() calls.
+RNG_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Analytics
@@ -184,6 +188,13 @@ def simulate_parallel_rus(
     next trial's ancilla during measurement clocks (one buffered state at
     most) and regions regrow over freed patches whenever processes complete;
     naive mode keeps the fixed initial regions and no pre-injection.
+
+    Run i draws from ``np.random.default_rng((seed, i))`` in a fixed order,
+    which every seeded output depends on.  Each clock first takes one uniform
+    per ongoing process that draws, in pid order: an awaiting process for its
+    injection, and in adaptive mode a measuring process with no buffered
+    ancilla for its pre-injection.  It then takes one coin per process whose
+    measurement ends, in pid order; below 1/2 is a success.
     """
     if mode not in ("naive", "adaptive"):
         raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
@@ -195,52 +206,85 @@ def simulate_parallel_rus(
     free0 = cells - target_cells - {c for r in regions0.values() for c in r}
     meas_clocks = 1 if basis == "Z" else 2
     adaptive = mode == "adaptive"
+    # A clock draws at most one uniform per ongoing process plus one coin per
+    # finishing process, so a clock starting with 2·m unread never runs out.
+    block = max(RNG_BLOCK, 2 * m)
+    refill_at = block - 2 * m
 
-    # per-attempt success probability by trial index (angle doubles each trial)
+    # per-attempt success probability by trial index (angle doubles each
+    # trial), and the per-clock chance by (trial index, region size)
     p_cache: dict[int, float] = {}
+    q_cache: dict[tuple[int, int], float] = {}
 
     def q(k: int, size: int) -> float:
         """Chance that one clock of size·a attempts prepares a trial-k ancilla."""
-        if k not in p_cache:
-            p_cache[k] = success_prob(theta_star, k, cfg)
-        return 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
+        key = (k, size)
+        if key not in q_cache:
+            if k not in p_cache:
+                p_cache[k] = success_prob(theta_star, k, cfg)
+            q_cache[key] = 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
+        return q_cache[key]
 
     def run_once(run_idx: int) -> int:
         rng = np.random.default_rng((seed, run_idx))
+        buf = rng.random(block).tolist()
+        pos = 0
         # A process is ongoing while its pid is a key of regions; it is
         # measuring while meas_left > 0 and awaiting an ancilla otherwise.
+        # now[pid] is an awaiting process's per-clock injection chance.
         regions = {pid: set(region) for pid, region in regions0.items()}
         k = [1] * m
         meas_left = [0] * m
         buffered = [False] * m
+        now = [q(1, len(regions0[pid])) for pid in range(m)]
         free = set(free0)
         t = 0
-        while regions:
+        while True:
             t += 1
             if t > MAX_RUN_CLOCKS:
                 raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
+            if pos > refill_at:
+                buf = buf[pos:] + rng.random(pos).tolist()
+                pos = 0
             finishing = []
             for pid, region in regions.items():
                 if meas_left[pid]:
                     if adaptive and not buffered[pid]:
-                        buffered[pid] = rng.random() < q(k[pid] + 1, len(region))
+                        buffered[pid] = buf[pos] < q(k[pid] + 1, len(region))
+                        pos += 1
                     meas_left[pid] -= 1
                     if not meas_left[pid]:
                         finishing.append(pid)
-                elif rng.random() < q(k[pid], len(region)):
-                    meas_left[pid] = meas_clocks
+                else:
+                    if buf[pos] < now[pid]:
+                        meas_left[pid] = meas_clocks
+                    pos += 1
+            if not finishing:
+                continue
             ongoing = len(regions)
+            failed = []
             for pid in finishing:
-                if rng.random() < 0.5:
+                if buf[pos] < 0.5:
                     free |= regions.pop(pid)
                 else:
                     k[pid] += 1
                     if buffered[pid]:
                         buffered[pid] = False
                         meas_left[pid] = meas_clocks
-            if adaptive and 0 < len(regions) < ongoing:
+                    else:
+                        failed.append(pid)
+                pos += 1
+            if not regions:
+                return t
+            regrown = adaptive and len(regions) < ongoing
+            if regrown:
                 regions = update_injection_regions(free, regions, neighbors)
-        return t
+            # Thresholds of the awaiting processes whose trial or region
+            # changed, evaluated only if a next clock runs to need them.
+            if t < MAX_RUN_CLOCKS:
+                for pid in regions if regrown else failed:
+                    if not meas_left[pid]:
+                        now[pid] = q(k[pid], len(regions[pid]))
 
     completions = tuple(run_once(i) for i in range(runs))
     return RusStats(completions, runs, seed)

@@ -205,6 +205,8 @@ ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
             )
         ),
         ["avg-trials", "--m-max", "0"],
+        ["qcels-demo", "--pairs", "0", "--trials", "1"],
+        ["qcels-demo", "--pairs", "-1", "--trials", "1"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -225,6 +227,24 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
         assert next(iter(content)) in err
     elif argv[0] == "avg-trials":
         assert "--m-max" in err
+    elif "--pairs" in argv:
+        assert "data points per level" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["simulate-rus", "--m", "3", "--runs", "2"], "--hist"),
+        (["simulate-rus", "--m", "3", "--runs", "2"], "--out"),
+        (["compile-trotter", "--n", "2"], "--timeline"),
+    ],
+)
+def test_missing_output_directory_names_the_path(tmp_path, capsys, argv, option):
+    path = str(tmp_path / "missing" / "out.txt")
+    assert run(argv + [option, path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runaway_rus_run_is_infeasible(capsys):

@@ -5,17 +5,29 @@ ring rescans all region cells and collects the claimants of each free node
 before picking the smallest region.  ``update_injection_regions`` scans only
 the previous ring's cells and keeps one winner per node; both must return the
 same regions, in the same key order, and leave the same free set.
+
+``reference_simulate_parallel_rus`` is the original Monte Carlo loop: one
+scalar ``rng.random()`` per draw and the per-clock injection chance
+recomputed at every use.  ``simulate_parallel_rus`` reads the same uniforms
+from blocks and keeps each awaiting process's chance; both must return the
+same completions, or raise the same error, after the same ``success_prob``
+calls.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsched.injection import SHIPPED_CONFIGS
+from starsched import injection, rus
+from starsched.cli import run
+from starsched.injection import SHIPPED_CONFIGS, InfeasibleModel, InjectionConfig, success_prob
 from starsched.rus import (
+    MAX_RUN_CLOCKS,
+    RusStats,
     _grid_neighbors,
     benchmark_layout,
     calibrate_p_pass,
@@ -214,3 +226,161 @@ def test_pass_rate_calibration_hits_target():
         8, "Z", 1e-8, replace(CFG, p_pass=rate), "naive", runs=200, seed=3
     )
     assert check.mean == pytest.approx(40.0, rel=0.1)
+
+
+def reference_simulate_parallel_rus(
+    m: int,
+    basis: str,
+    theta_star: float,
+    cfg,
+    mode: str = "adaptive",
+    runs: int = 1000,
+    seed: int = 0,
+) -> RusStats:
+    if mode not in ("naive", "adaptive"):
+        raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    targets, regions0, cells = benchmark_layout(m, basis)
+    neighbors = _grid_neighbors(cells)
+    target_cells = {c for t in targets.values() for c in t}
+    free0 = cells - target_cells - {c for r in regions0.values() for c in r}
+    meas_clocks = 1 if basis == "Z" else 2
+    adaptive = mode == "adaptive"
+
+    # per-attempt success probability by trial index (angle doubles each trial)
+    p_cache: dict[int, float] = {}
+
+    def q(k: int, size: int) -> float:
+        """Chance that one clock of size·a attempts prepares a trial-k ancilla."""
+        if k not in p_cache:
+            p_cache[k] = success_prob(theta_star, k, cfg)
+        return 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
+
+    def run_once(run_idx: int) -> int:
+        rng = np.random.default_rng((seed, run_idx))
+        # A process is ongoing while its pid is a key of regions; it is
+        # measuring while meas_left > 0 and awaiting an ancilla otherwise.
+        regions = {pid: set(region) for pid, region in regions0.items()}
+        k = [1] * m
+        meas_left = [0] * m
+        buffered = [False] * m
+        free = set(free0)
+        t = 0
+        while regions:
+            t += 1
+            if t > MAX_RUN_CLOCKS:
+                raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
+            finishing = []
+            for pid, region in regions.items():
+                if meas_left[pid]:
+                    if adaptive and not buffered[pid]:
+                        buffered[pid] = rng.random() < q(k[pid] + 1, len(region))
+                    meas_left[pid] -= 1
+                    if not meas_left[pid]:
+                        finishing.append(pid)
+                elif rng.random() < q(k[pid], len(region)):
+                    meas_left[pid] = meas_clocks
+            ongoing = len(regions)
+            for pid in finishing:
+                if rng.random() < 0.5:
+                    free |= regions.pop(pid)
+                else:
+                    k[pid] += 1
+                    if buffered[pid]:
+                        buffered[pid] = False
+                        meas_left[pid] = meas_clocks
+            if adaptive and 0 < len(regions) < ongoing:
+                regions = update_injection_regions(free, regions, neighbors)
+        return t
+
+    completions = tuple(run_once(i) for i in range(runs))
+    return RusStats(completions, runs, seed)
+
+
+def outcomes(*args, clock_cap=MAX_RUN_CLOCKS):
+    """(result, success_prob trial indices) of the reference, then the change.
+
+    The result is the completion tuple, or the error's type and message.
+    """
+    found = []
+    for simulate, namespace in (
+        (reference_simulate_parallel_rus, globals()),
+        (simulate_parallel_rus, vars(rus)),
+    ):
+        trials = []
+
+        def counted(target_angle, trial, cfg):
+            trials.append(trial)
+            return injection.success_prob(target_angle, trial, cfg)
+
+        with mock.patch.dict(namespace, MAX_RUN_CLOCKS=clock_cap, success_prob=counted):
+            try:
+                result = simulate(*args).completions
+            except ValueError as exc:  # AngleCapError and InfeasibleModel
+                result = (type(exc), str(exc))
+        found.append((result, trials))
+    return found
+
+
+@given(
+    m=st.integers(1, 40),
+    basis=st.sampled_from(["Z", "ZZ"]),
+    mode=st.sampled_from(["naive", "adaptive"]),
+    log_p_pass=st.floats(-3, 0),
+    attempts=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    runs=st.integers(1, 5),
+    log_theta=st.one_of(st.just(-8.0), st.floats(-9, 0)),
+    clock_cap=st.one_of(st.just(MAX_RUN_CLOCKS), st.integers(1, 400)),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulation_matches_reference(
+    m, basis, mode, log_p_pass, attempts, seed, runs, log_theta, clock_cap
+):
+    cfg = InjectionConfig(k=3, p_pass=10.0**log_p_pass, attempts_per_clock=attempts)
+    args = (m, basis, 10.0**log_theta, cfg, mode, runs, seed)
+    reference, change = outcomes(*args, clock_cap=clock_cap)
+    assert change == reference
+
+
+def test_angle_cap_abort_matches_reference():
+    # one process of run 36 fails 27 trials in a row on a 72-cell region
+    args = (36, "ZZ", 1e-8, CFG, "adaptive", 100, 909)
+    reference, change = outcomes(*args)
+    assert change == reference
+    (kind, message), _ = change
+    assert kind.__name__ == "AngleCapError" and message.endswith("at trial 28")
+
+
+def test_angle_cap_abort_exits_one(capsys):
+    argv = ["simulate-rus", "--m", "36", "--basis", "ZZ", "--mode", "adaptive",
+            "--runs", "100", "--seed", "909"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: trial angle 1.342 exceeds the small-angle cap 0.7854 at trial 28\n"
+    )
+
+
+def test_naive_large_angle_matches_reference_per_seed():
+    # θ* = 0.1 reaches the cap at trial 4: a run finishes unless its one
+    # process fails three trials in a row.  Low clock caps also put that
+    # third failure on the last clock allowed, where the clock cap must win.
+    finished = set()
+    for seed in range(24):
+        for clock_cap in (*range(1, 13), MAX_RUN_CLOCKS):
+            reference, change = outcomes(
+                1, "Z", 0.1, CFG, "naive", 1, seed, clock_cap=clock_cap
+            )
+            assert change == reference
+        result, _ = change
+        finished.add(isinstance(result[0], int))
+    assert finished == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_batch_wider_than_block_matches_reference(mode):
+    # 2·M > RNG_BLOCK: the block holds exactly one clock's worst case
+    assert 2 * 150 > rus.RNG_BLOCK
+    reference, change = outcomes(150, "ZZ", 1e-8, CFG, mode, 3, 8)
+    assert change == reference
