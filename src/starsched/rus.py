@@ -171,6 +171,109 @@ def _grid_neighbors(cells: set[Coord]):
     return table.__getitem__
 
 
+def _batch(m: int, basis: str):
+    """Initial regions, free cells, neighbour lookup and measurement clocks
+    of an M-process batch."""
+    targets, regions0, cells = benchmark_layout(m, basis)
+    target_cells = {c for t in targets.values() for c in t}
+    free0 = cells - target_cells - {c for r in regions0.values() for c in r}
+    return regions0, free0, _grid_neighbors(cells), 1 if basis == "Z" else 2
+
+
+def _thresholds(theta_star: float, cfg: InjectionConfig):
+    """Per-clock injection chance q(k, size), evaluated once per key.
+
+    The per-attempt success probability depends on the trial index only
+    (the angle doubles each trial); q is the chance that one clock of
+    size·a attempts prepares a trial-k ancilla.
+    """
+    p_cache: dict[int, float] = {}
+    q_cache: dict[tuple[int, int], float] = {}
+
+    def q(k: int, size: int) -> float:
+        key = (k, size)
+        if key not in q_cache:
+            if k not in p_cache:
+                p_cache[k] = success_prob(theta_star, k, cfg)
+            q_cache[key] = 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
+        return q_cache[key]
+
+    return q
+
+
+def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[int, int, int]:
+    """One run of a batch: (completion clock, uniforms read, largest trial index).
+
+    The uniforms read are the first ones of ``default_rng((seed, run_idx))``.
+    """
+    regions0, free0, neighbors, meas_clocks = batch
+    m = len(regions0)
+    # A clock draws at most one uniform per ongoing process plus one coin per
+    # finishing process, so a clock starting with 2·m unread never runs out.
+    block = max(RNG_BLOCK, 2 * m)
+    refill_at = block - 2 * m
+    rng = np.random.default_rng((seed, run_idx))
+    buf = rng.random(block).tolist()
+    pos = drawn = 0
+    # A process is ongoing while its pid is a key of regions; it is
+    # measuring while meas_left > 0 and awaiting an ancilla otherwise.
+    # now[pid] is an awaiting process's per-clock injection chance.
+    regions = {pid: set(region) for pid, region in regions0.items()}
+    k = [1] * m
+    meas_left = [0] * m
+    buffered = [False] * m
+    now = [q(1, len(regions0[pid])) for pid in range(m)]
+    free = set(free0)
+    t = 0
+    while True:
+        t += 1
+        if t > MAX_RUN_CLOCKS:
+            raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
+        if pos > refill_at:
+            buf = buf[pos:] + rng.random(pos).tolist()
+            drawn += pos
+            pos = 0
+        finishing = []
+        for pid, region in regions.items():
+            if meas_left[pid]:
+                if adaptive and not buffered[pid]:
+                    buffered[pid] = buf[pos] < q(k[pid] + 1, len(region))
+                    pos += 1
+                meas_left[pid] -= 1
+                if not meas_left[pid]:
+                    finishing.append(pid)
+            else:
+                if buf[pos] < now[pid]:
+                    meas_left[pid] = meas_clocks
+                pos += 1
+        if not finishing:
+            continue
+        ongoing = len(regions)
+        failed = []
+        for pid in finishing:
+            if buf[pos] < 0.5:
+                free |= regions.pop(pid)
+            else:
+                k[pid] += 1
+                if buffered[pid]:
+                    buffered[pid] = False
+                    meas_left[pid] = meas_clocks
+                else:
+                    failed.append(pid)
+            pos += 1
+        if not regions:
+            return t, drawn + pos, max(k)
+        regrown = adaptive and len(regions) < ongoing
+        if regrown:
+            regions = update_injection_regions(free, regions, neighbors)
+        # Thresholds of the awaiting processes whose trial or region
+        # changed, evaluated only if a next clock runs to need them.
+        if t < MAX_RUN_CLOCKS:
+            for pid in regions if regrown else failed:
+                if not meas_left[pid]:
+                    now[pid] = q(k[pid], len(regions[pid]))
+
+
 def simulate_parallel_rus(
     m: int,
     basis: str,
@@ -200,93 +303,10 @@ def simulate_parallel_rus(
         raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    targets, regions0, cells = benchmark_layout(m, basis)
-    neighbors = _grid_neighbors(cells)
-    target_cells = {c for t in targets.values() for c in t}
-    free0 = cells - target_cells - {c for r in regions0.values() for c in r}
-    meas_clocks = 1 if basis == "Z" else 2
+    batch = _batch(m, basis)
+    q = _thresholds(theta_star, cfg)
     adaptive = mode == "adaptive"
-    # A clock draws at most one uniform per ongoing process plus one coin per
-    # finishing process, so a clock starting with 2·m unread never runs out.
-    block = max(RNG_BLOCK, 2 * m)
-    refill_at = block - 2 * m
-
-    # per-attempt success probability by trial index (angle doubles each
-    # trial), and the per-clock chance by (trial index, region size)
-    p_cache: dict[int, float] = {}
-    q_cache: dict[tuple[int, int], float] = {}
-
-    def q(k: int, size: int) -> float:
-        """Chance that one clock of size·a attempts prepares a trial-k ancilla."""
-        key = (k, size)
-        if key not in q_cache:
-            if k not in p_cache:
-                p_cache[k] = success_prob(theta_star, k, cfg)
-            q_cache[key] = 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
-        return q_cache[key]
-
-    def run_once(run_idx: int) -> int:
-        rng = np.random.default_rng((seed, run_idx))
-        buf = rng.random(block).tolist()
-        pos = 0
-        # A process is ongoing while its pid is a key of regions; it is
-        # measuring while meas_left > 0 and awaiting an ancilla otherwise.
-        # now[pid] is an awaiting process's per-clock injection chance.
-        regions = {pid: set(region) for pid, region in regions0.items()}
-        k = [1] * m
-        meas_left = [0] * m
-        buffered = [False] * m
-        now = [q(1, len(regions0[pid])) for pid in range(m)]
-        free = set(free0)
-        t = 0
-        while True:
-            t += 1
-            if t > MAX_RUN_CLOCKS:
-                raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
-            if pos > refill_at:
-                buf = buf[pos:] + rng.random(pos).tolist()
-                pos = 0
-            finishing = []
-            for pid, region in regions.items():
-                if meas_left[pid]:
-                    if adaptive and not buffered[pid]:
-                        buffered[pid] = buf[pos] < q(k[pid] + 1, len(region))
-                        pos += 1
-                    meas_left[pid] -= 1
-                    if not meas_left[pid]:
-                        finishing.append(pid)
-                else:
-                    if buf[pos] < now[pid]:
-                        meas_left[pid] = meas_clocks
-                    pos += 1
-            if not finishing:
-                continue
-            ongoing = len(regions)
-            failed = []
-            for pid in finishing:
-                if buf[pos] < 0.5:
-                    free |= regions.pop(pid)
-                else:
-                    k[pid] += 1
-                    if buffered[pid]:
-                        buffered[pid] = False
-                        meas_left[pid] = meas_clocks
-                    else:
-                        failed.append(pid)
-                pos += 1
-            if not regions:
-                return t
-            regrown = adaptive and len(regions) < ongoing
-            if regrown:
-                regions = update_injection_regions(free, regions, neighbors)
-            # Thresholds of the awaiting processes whose trial or region
-            # changed, evaluated only if a next clock runs to need them.
-            if t < MAX_RUN_CLOCKS:
-                for pid in regions if regrown else failed:
-                    if not meas_left[pid]:
-                        now[pid] = q(k[pid], len(regions[pid]))
-
-    completions = tuple(run_once(i) for i in range(runs))
+    completions = tuple(_simulate_run(batch, q, adaptive, seed, i)[0] for i in range(runs))
     return RusStats(completions, runs, seed)
 
 
@@ -301,16 +321,59 @@ def calibrate_p_pass(
 ) -> float:
     """Pass rate making the naive-mode mean completion ≈ target_mean clocks.
 
-    Bisects on log10(p_pass); the naive mean is monotone decreasing in the
-    pass rate.
+    Bisects on log10(p_pass) over [1e-4, 1]; the naive mean is monotone
+    decreasing in the pass rate.  Every step averages the same ``runs``
+    seeded naive runs that ``simulate_parallel_rus`` makes, and returns the
+    same mean, but reuses a run's completion clock from an earlier step when
+    no uniform it read lies between the old and the new threshold.
+
+    That reuse is exact.  With its uniforms fixed, a naive run depends on
+    the pass rate only through its comparisons ``u < q(k, l)``: the regions
+    never change, so l is the initial region size, k runs up to the run's
+    largest trial index, and the coins are compared with 1/2.  Each run
+    keeps, per k, the largest uniform it read below q(k, l) and the smallest
+    at or above it; if every new threshold lies above the first and at or
+    below the second, every comparison keeps its outcome and the run repeats
+    draw for draw.  Any other run is simulated again.  A reused run has
+    completed before, and the angle and clock caps do not depend on the pass
+    rate, so the errors raised are those of a full re-run too.
     """
+    if not (math.isfinite(target_mean) and target_mean > 0):
+        raise ValueError(
+            f"target mean must be a positive number of clocks, got {target_mean!r}"
+        )
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     base = cfg or SHIPPED_CONFIGS[9]
+    batch = _batch(m, basis)
+    size = len(batch[0][0])  # every naive region keeps this initial size
+    # per run: its completion clock and, for k = 1..max k, the uniforms it
+    # read just below and at or above q(k, size)
+    records: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * runs
 
     def mean_at(log_p: float) -> float:
-        trial = replace(base, p_pass=10.0**log_p)
-        return simulate_parallel_rus(
-            m, basis, theta_star, trial, "naive", runs, seed
-        ).mean
+        q = _thresholds(theta_star, replace(base, p_pass=10.0**log_p))
+
+        def levels(max_k: int) -> np.ndarray:
+            return np.array([q(k, size) for k in range(1, max_k + 1)])
+
+        total = 0
+        for i, record in enumerate(records):
+            if record is not None:
+                clocks, below, above = record
+                now = levels(len(below))
+                if ((below < now) & (now <= above)).all():
+                    total += clocks
+                    continue
+            clocks, drawn, max_k = _simulate_run(batch, q, False, seed, i)
+            u = np.random.default_rng((seed, i)).random(drawn)
+            u.sort()
+            n_below = np.searchsorted(u, levels(max_k))
+            # -1 and 2 stand for "no uniform below" and "none at or above"
+            bounded = np.concatenate(([-1.0], u, [2.0]))
+            records[i] = (clocks, bounded[n_below], bounded[n_below + 1])
+            total += clocks
+        return total / runs
 
     lo, hi = -4.0, 0.0
     for _ in range(22):
@@ -319,4 +382,8 @@ def calibrate_p_pass(
             lo = mid
         else:
             hi = mid
+    if lo == -4.0 or hi == 0.0:
+        raise ValueError(
+            f"target mean {target_mean!r} clocks is not reached for pass rates in [1e-4, 1]"
+        )
     return 10.0 ** ((lo + hi) / 2)

@@ -320,3 +320,10 @@ def test_15_seeded_commands_match_golden_outputs(tmp_path, item):
     assert run([a.format(rate=rate) for a in argv] + extra) == 0
     for kind, path in files.items():
         assert path.read_text() == golden[kind], kind
+
+
+def test_15_calibrated_rate_matches_golden():
+    # the rate rus-calibrate's naive and adaptive items run at
+    golden = json.loads((GOLDEN / "rus-calibrate.json").read_text())["items"]["calibrate"]
+    rate = calibrate_p_pass(161.0, m=32, basis="Z", runs=200, seed=0)
+    assert repr(rate) == golden["rate"]

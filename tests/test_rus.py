@@ -12,9 +12,17 @@ recomputed at every use.  ``simulate_parallel_rus`` reads the same uniforms
 from blocks and keeps each awaiting process's chance; both must return the
 same completions, or raise the same error, after the same ``success_prob``
 calls.
+
+``reference_calibrate_p_pass`` is the original calibration: every bisection
+step runs all its naive runs through ``simulate_parallel_rus``.
+``calibrate_p_pass`` reuses a run whose comparisons cannot change; both must
+return the same rate, or raise the same error, except that the change rejects
+a target no pass rate in [1e-4, 1] reaches where the reference returned a
+bracket end.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -219,8 +227,6 @@ def test_invalid_mode_rejected():
 
 
 def test_pass_rate_calibration_hits_target():
-    from dataclasses import replace
-
     rate = calibrate_p_pass(40.0, m=8, runs=200, seed=3)
     check = simulate_parallel_rus(
         8, "Z", 1e-8, replace(CFG, p_pass=rate), "naive", runs=200, seed=3
@@ -384,3 +390,107 @@ def test_batch_wider_than_block_matches_reference(mode):
     assert 2 * 150 > rus.RNG_BLOCK
     reference, change = outcomes(150, "ZZ", 1e-8, CFG, mode, 3, 8)
     assert change == reference
+
+
+def reference_calibrate_p_pass(
+    target_mean: float,
+    m: int = 32,
+    basis: str = "Z",
+    theta_star: float = 1e-8,
+    cfg: InjectionConfig | None = None,
+    runs: int = 300,
+    seed: int = 7,
+) -> float:
+    """Pass rate making the naive-mode mean completion ≈ target_mean clocks.
+
+    Bisects on log10(p_pass); the naive mean is monotone decreasing in the
+    pass rate.
+    """
+    base = cfg or SHIPPED_CONFIGS[9]
+
+    def mean_at(log_p: float) -> float:
+        trial = replace(base, p_pass=10.0**log_p)
+        return simulate_parallel_rus(
+            m, basis, theta_star, trial, "naive", runs, seed
+        ).mean
+
+    lo, hi = -4.0, 0.0
+    for _ in range(22):
+        mid = (lo + hi) / 2
+        if mean_at(mid) > target_mean:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** ((lo + hi) / 2)
+
+
+# What the reference returns when every step moved the same bracket end.
+BRACKET_ENDS = {repr(10.0 ** -(2.0**-21)), repr(10.0 ** (-4 + 2.0**-21))}
+
+
+def not_reached(target):
+    return (ValueError, f"target mean {target!r} clocks is not reached for pass rates in [1e-4, 1]")
+
+
+def calibration_outcomes(*args, clock_cap=MAX_RUN_CLOCKS):
+    """repr of the rate, or the error's type and message: reference, then change."""
+    found = []
+    for calibrate in (reference_calibrate_p_pass, calibrate_p_pass):
+        with mock.patch.object(rus, "MAX_RUN_CLOCKS", clock_cap):
+            try:
+                found.append(repr(calibrate(*args)))
+            except ValueError as exc:  # AngleCapError and InfeasibleModel
+                found.append((type(exc), str(exc)))
+    return found
+
+
+# Half the targets lie where a cap of at most 400 clocks lets the bisection
+# finish, and half the caps are 400: elsewhere most cases raise at the first
+# step.
+@given(
+    log_target=st.one_of(st.floats(1, 2.3), st.floats(0, 6)),
+    m=st.integers(1, 24),
+    basis=st.sampled_from(["Z", "ZZ"]),
+    log_theta=st.one_of(st.just(-8.0), st.floats(-9, -0.5)),
+    k=st.sampled_from([3, 5]),
+    attempts=st.integers(1, 3),
+    runs=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    clock_cap=st.one_of(st.integers(1, 400), st.just(400)),
+)
+@settings(max_examples=200, deadline=None)
+def test_calibration_matches_reference(
+    log_target, m, basis, log_theta, k, attempts, runs, seed, clock_cap
+):
+    target = 10.0**log_target
+    cfg = InjectionConfig(k=k, attempts_per_clock=attempts)
+    args = (target, m, basis, 10.0**log_theta, cfg, runs, seed)
+    reference, change = calibration_outcomes(*args, clock_cap=clock_cap)
+    if reference in BRACKET_ENDS:
+        reference = not_reached(target)
+    assert change == reference
+
+
+def test_calibration_reuses_runs():
+    calls = mock.Mock(wraps=rus._simulate_run)
+    with mock.patch.object(rus, "_simulate_run", calls):
+        calibrate_p_pass(161.0, m=32, runs=50, seed=0)
+    assert 50 <= calls.call_count < 22 * 50
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+def test_calibration_rejects_target(target):
+    with pytest.raises(ValueError, match="target mean must be a positive number"):
+        calibrate_p_pass(target, m=4, runs=5)
+
+
+@pytest.mark.parametrize("target", [1.0, 1e9])
+def test_calibration_rejects_unreached_target(target):
+    reference, change = calibration_outcomes(target, 4, "Z", 1e-8, None, 5, 7)
+    assert reference in BRACKET_ENDS
+    assert change == not_reached(target)
+
+
+def test_calibration_rejects_no_runs():
+    with pytest.raises(ValueError, match="^runs must be at least 1, got 0$"):
+        calibrate_p_pass(161.0, runs=0)

@@ -8,6 +8,7 @@ timeline.
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,3 +213,20 @@ def test_matches_reference_on_shifted_compiled_steps(n, mode, data):
     tl = Timeline([(t, op) if k == i else (s, op) for k, (s, op) in enumerate(ops)])
     grid = build_grid(n, with_qpe_ancilla=(mode == "controlled"))
     assert validate(tl, grid) == reference_validate(tl, grid)
+
+
+# Every clean move of a routing-holding op onto a merge start clock, n = 2..6,
+# gives a "participants disconnected" conflict in exactly these four cases,
+# all in controlled steps: (n, merge start clock, index of the moved op).
+DISCONNECTING_MOVES = [(2, 17.0, 19), (2, 17.0, 23), (4, 21.0, 45), (6, 23.0, 103)]
+
+
+@pytest.mark.parametrize("n, t, i", DISCONNECTING_MOVES)
+def test_matches_reference_on_disconnecting_moves(n, t, i):
+    ops, _, _, clean = compiled_case(n, "controlled")
+    assert i in clean[t]
+    tl = Timeline([(t, op) if k == i else (s, op) for k, (s, op) in enumerate(ops)])
+    grid = build_grid(n, with_qpe_ancilla=True)
+    conflict = validate(tl, grid)
+    assert conflict == reference_validate(tl, grid)
+    assert conflict.reason == "participants disconnected"
