@@ -179,17 +179,15 @@ def cmd_qcels_demo(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     target = spectrum.dominant
-    errors = []
-    for trial in range(args.trials):
-        est = multilevel_qcels(
-            spectrum,
-            args.eps,
-            delta=args.delta,
-            n_pairs=args.pairs,
-            n_samples=args.samples,
-            seed=args.seed * 1_000_003 + trial,
-        )
-        errors.append(abs(wrap_phase(est - target)))
+    estimates = multilevel_qcels(
+        spectrum,
+        args.eps,
+        delta=args.delta,
+        n_pairs=args.pairs,
+        n_samples=args.samples,
+        seeds=[args.seed * 1_000_003 + trial for trial in range(args.trials)],
+    )
+    errors = [abs(wrap_phase(est - target)) for est in estimates]
     summary = {
         "success_rate": sum(e < args.eps for e in errors) / len(errors),
         "median_error": statistics.median(errors),

@@ -39,14 +39,20 @@ class QcelsParams:
     def __post_init__(self) -> None:
         if not 0 < self.eps_qcels_norm <= 1:
             raise ValueError(f"QCELS precision must be in (0, 1], got {self.eps_qcels_norm}")
-        if not self.delta > 0:
-            raise ValueError(f"QCELS delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"QCELS delta must be a finite positive number, got {self.delta}")
         if self.n_samples < 0:
             raise ValueError(f"QCELS sample count must be at least 0, got {self.n_samples}")
         if self.n_pairs < 2:
             raise ValueError(
                 f"QCELS data points per level must be at least 2, got {self.n_pairs}"
             )
+        for j, tau_j in enumerate(self.tau):
+            if not math.isfinite(tau_j):
+                raise ValueError(
+                    f"QCELS level spacing tau_{j} must be finite, got {tau_j} for "
+                    f"delta {self.delta}, pairs {self.n_pairs}, eps {self.eps_qcels_norm}"
+                )
 
     @property
     def levels(self) -> int:

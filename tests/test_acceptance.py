@@ -227,11 +227,9 @@ def test_12_phase_estimation_success_rate():
     spectrum = SyntheticSpectrum(
         (-0.5, 0.9, 1.8, 2.6, -2.8), (0.8, 0.05, 0.05, 0.05, 0.05)
     )
-    successes = sum(
-        abs(multilevel_qcels(spectrum, 0.01, delta=0.06, n_pairs=5,
-                             n_samples=100, seed=s) - (-0.5)) < 0.01
-        for s in range(100)
-    )
+    estimates = multilevel_qcels(spectrum, 0.01, delta=0.06, n_pairs=5,
+                                 n_samples=100, seeds=range(100))
+    successes = sum(abs(est - (-0.5)) < 0.01 for est in estimates)
     assert successes >= 90
 
 

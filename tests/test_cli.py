@@ -280,3 +280,19 @@ def test_deleted_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "delta, named",
+    [
+        ("inf", "delta must be a finite positive number, got inf"),
+        ("1e308", "tau_0 must be finite, got inf for delta 1e+308"),
+        ("1e20", "collapsed below numeric resolution at level 1 (eps 0.01, delta 1e+20)"),
+    ],
+)
+def test_huge_qcels_delta_is_one_line_error(capsys, recwarn, delta, named):
+    assert run(["qcels-demo", "--delta", delta, "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not recwarn.list
