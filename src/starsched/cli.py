@@ -68,7 +68,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _injection_config(args):

@@ -53,6 +53,13 @@ class QcelsParams:
                     f"QCELS level spacing tau_{j} must be finite, got {tau_j} for "
                     f"delta {self.delta}, pairs {self.n_pairs}, eps {self.eps_qcels_norm}"
                 )
+        # The fit adds sums of n_pairs terms t²·Z; 16 covers noisy |Z| up to 2.
+        t_last = (self.n_pairs - 1) * self.tau[-1]
+        if not math.isfinite(16 * self.n_pairs * t_last * t_last):
+            raise ValueError(
+                f"QCELS delta {self.delta} is too large: sample time {t_last:.4g} squared "
+                f"overflows the fit (pairs {self.n_pairs}, eps {self.eps_qcels_norm})"
+            )
 
     @property
     def levels(self) -> int:
@@ -263,7 +270,7 @@ class EstimateReport:
     n_qubit: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True, allow_nan=False)
 
 
 def build_report(

@@ -5,10 +5,18 @@ a freshly injected ancilla (prepared in its injection region) and a joint
 Pauli measurement (Z: 1 clock, ZZ: 2 clocks) that succeeds with probability
 1/2; a failure doubles the rotation angle for the next trial.  The batch
 finishes when the slowest process completes.
+
+The Monte Carlo holds each injection region, and a run's free patches, as
+an int over the batch's rows × cols grid, cell (r, c) at bit r·cols + c.  One
+ring of growth is four shifts, ``x >> cols``, ``x << cols``, ``(x &
+not_first_col) >> 1`` and ``(x & not_last_col) << 1``; the column masks stop
+a row's edge from wrapping into the next row.  Claimants of a ring take free
+cells in (region size at the start of the ring, pid) order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -67,38 +75,56 @@ def expected_trials(m: int) -> float:
 # Injection-region growth
 
 
+@dataclass(slots=True)
+class FreeCells:
+    """The free patches of a run as one mutable bitmask; len() counts them."""
+
+    bits: int
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+
 def update_injection_regions(
-    free: set[Coord],
-    regions: dict[int, set[Coord]],
-    neighbors,
-) -> dict[int, set[Coord]]:
+    free: FreeCells, regions: dict[int, int], grid: tuple[int, int, int]
+) -> set[int]:
     """Grow the ongoing regions over the free patches by simultaneous BFS.
 
-    One ring per step: a free node adjacent to exactly one region is assigned
-    to it; a node reached by several regions in the same step goes to the
-    region with the fewest patches at the start of the step (ties to the
-    lower process id).  Growth stops when no free adjacent node remains.
-    Assigned nodes are removed from ``free`` in place.
-
-    Each ring claims every free neighbour of the cells it scans, so after the
-    first ring only the cells the previous ring added can reach a free node.
+    Masks lie on ``grid = (cols, not_first_col, not_last_col)`` (module
+    docstring).  A free cell next to several regions goes to the one with the
+    fewest patches at the start of the ring, ties to the lower pid: claimants
+    go in (size, pid) order, each taking the free cells next to it that no
+    earlier one took.  Only regions next to a free cell join the first ring,
+    and only those that gained join the next.  ``regions`` grows in place and
+    ``free.bits`` loses the cells; returns the pids whose regions grew.
     """
-    regions = ring = {pid: set(cells) for pid, cells in regions.items()}
-    while True:
-        winner: dict[Coord, tuple[int, int]] = {}
-        for pid, cells in ring.items():
-            claim = (len(regions[pid]), pid)
-            for cell in cells:
-                for nb in neighbors(cell):
-                    if nb in free and (nb not in winner or claim < winner[nb]):
-                        winner[nb] = claim
-        if not winner:
-            return regions
-        ring = {}
-        for node, (_, pid) in winner.items():
-            regions[pid].add(node)
-            ring.setdefault(pid, []).append(node)
-        free.difference_update(winner)
+    cols, not_first, not_last = grid
+
+    def grow(x: int) -> int:
+        return (x >> cols) | (x << cols) | ((x & not_first) >> 1) | ((x & not_last) << 1)
+
+    avail = free.bits
+    near = grow(avail)
+    ring = [pid for pid, region in regions.items() if region & near]
+    grown: set[int] = set()
+    while len(ring) > 1:
+        claimed = []
+        for _, pid in sorted([(regions[pid].bit_count(), pid) for pid in ring]):
+            if got := grow(regions[pid]) & avail:
+                avail ^= got
+                regions[pid] |= got
+                claimed.append(pid)
+        grown.update(claimed)
+        ring = claimed
+    for pid in ring:  # a region that gains nothing never gains again: the last floods alone
+        region = regions[pid]
+        while got := grow(region) & avail:
+            avail ^= got
+            region |= got
+        regions[pid] = region
+        grown.add(pid)
+    free.bits = avail
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +188,20 @@ def benchmark_layout(m: int, basis: str):
     return targets, regions, cells
 
 
-def _grid_neighbors(cells: set[Coord]):
-    """Lookup of each cell's in-grid neighbours, built once per grid."""
-    table = {
-        (r, c): [nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if nb in cells]
-        for r, c in cells
-    }
-    return table.__getitem__
-
-
 def _batch(m: int, basis: str):
-    """Initial regions, free cells, neighbour lookup and measurement clocks
-    of an M-process batch."""
+    """Region masks, free mask, grid and measurement clocks of an M-process
+    batch: ``benchmark_layout``'s 4 × cols grid as bitmasks."""
     targets, regions0, cells = benchmark_layout(m, basis)
-    target_cells = {c for t in targets.values() for c in t}
-    free0 = cells - target_cells - {c for r in regions0.values() for c in r}
-    return regions0, free0, _grid_neighbors(cells), 1 if basis == "Z" else 2
+    cols = len(cells) // 4
+
+    def mask(coords) -> int:
+        return sum(1 << (r * cols + c) for r, c in coords)
+
+    used = {c for t in targets.values() for c in t} | {c for r in regions0.values() for c in r}
+    full, first_col = mask(cells), mask((r, 0) for r in range(4))
+    grid = (cols, full ^ first_col, full ^ (first_col << (cols - 1)))
+    regions = {pid: mask(region) for pid, region in regions0.items()}
+    return regions, full ^ mask(used), grid, 1 if basis == "Z" else 2
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -187,16 +211,14 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     (the angle doubles each trial); q is the chance that one clock of
     size·a attempts prepares a trial-k ancilla.
     """
-    p_cache: dict[int, float] = {}
-    q_cache: dict[tuple[int, int], float] = {}
 
+    @functools.cache
+    def p(k: int) -> float:
+        return success_prob(theta_star, k, cfg)
+
+    @functools.cache
     def q(k: int, size: int) -> float:
-        key = (k, size)
-        if key not in q_cache:
-            if k not in p_cache:
-                p_cache[k] = success_prob(theta_star, k, cfg)
-            q_cache[key] = 1 - (1 - p_cache[k]) ** (size * cfg.attempts_per_clock)
-        return q_cache[key]
+        return 1 - (1 - p(k)) ** (size * cfg.attempts_per_clock)
 
     return q
 
@@ -206,7 +228,7 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
 
     The uniforms read are the first ones of ``default_rng((seed, run_idx))``.
     """
-    regions0, free0, neighbors, meas_clocks = batch
+    regions0, free0, grid, meas_clocks = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
@@ -217,13 +239,15 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
     pos = drawn = 0
     # A process is ongoing while its pid is a key of regions; it is
     # measuring while meas_left > 0 and awaiting an ancilla otherwise.
-    # now[pid] is an awaiting process's per-clock injection chance.
-    regions = {pid: set(region) for pid, region in regions0.items()}
+    # size[pid] counts its region's patches and now[pid] is an awaiting
+    # process's per-clock injection chance.
+    regions = dict(regions0)
+    size = [region.bit_count() for region in regions0.values()]
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
-    now = [q(1, len(regions0[pid])) for pid in range(m)]
-    free = set(free0)
+    now = [q(1, n) for n in size]
+    free = FreeCells(free0)
     t = 0
     while True:
         t += 1
@@ -234,10 +258,10 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
             drawn += pos
             pos = 0
         finishing = []
-        for pid, region in regions.items():
+        for pid in regions:
             if meas_left[pid]:
                 if adaptive and not buffered[pid]:
-                    buffered[pid] = buf[pos] < q(k[pid] + 1, len(region))
+                    buffered[pid] = buf[pos] < q(k[pid] + 1, size[pid])
                     pos += 1
                 meas_left[pid] -= 1
                 if not meas_left[pid]:
@@ -249,29 +273,32 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
         if not finishing:
             continue
         ongoing = len(regions)
-        failed = []
+        stale = []
         for pid in finishing:
             if buf[pos] < 0.5:
-                free |= regions.pop(pid)
+                free.bits |= regions.pop(pid)
             else:
                 k[pid] += 1
                 if buffered[pid]:
                     buffered[pid] = False
                     meas_left[pid] = meas_clocks
                 else:
-                    failed.append(pid)
+                    stale.append(pid)
             pos += 1
         if not regions:
             return t, drawn + pos, max(k)
-        regrown = adaptive and len(regions) < ongoing
-        if regrown:
-            regions = update_injection_regions(free, regions, neighbors)
+        if adaptive and len(regions) < ongoing:
+            grown = update_injection_regions(free, regions, grid)
+            for pid in grown:
+                size[pid] = regions[pid].bit_count()
+            stale += grown
         # Thresholds of the awaiting processes whose trial or region
-        # changed, evaluated only if a next clock runs to need them.
+        # changed, evaluated only if a next clock runs to need them.  Only a
+        # changed trial calls success_prob, and those come in pid order.
         if t < MAX_RUN_CLOCKS:
-            for pid in regions if regrown else failed:
+            for pid in stale:
                 if not meas_left[pid]:
-                    now[pid] = q(k[pid], len(regions[pid]))
+                    now[pid] = q(k[pid], size[pid])
 
 
 def simulate_parallel_rus(
@@ -346,7 +373,7 @@ def calibrate_p_pass(
         raise ValueError(f"runs must be at least 1, got {runs}")
     base = cfg or SHIPPED_CONFIGS[9]
     batch = _batch(m, basis)
-    size = len(batch[0][0])  # every naive region keeps this initial size
+    size = batch[0][0].bit_count()  # every naive region keeps this initial size
     # per run: its completion clock and, for k = 1..max k, the uniforms it
     # read just below and at or above q(k, size)
     records: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * runs

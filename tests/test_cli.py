@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import stat
+from dataclasses import replace
 
 import pytest
 
+from starsched import cli
 from starsched.cli import run
 
 
@@ -296,3 +299,45 @@ def test_huge_qcels_delta_is_one_line_error(capsys, recwarn, delta, named):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("delta", ["1e300", "2e153"])
+def test_overflowing_qcels_sample_time_is_one_line_error(capsys, recwarn, delta):
+    # One level (eps 1): no spacing is infinite and no interval collapses,
+    # but the fit squares sample times near delta.
+    assert run(["qcels-demo", "--eps", "1", "--delta", delta, "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: QCELS delta {float(delta)} is too large")
+    assert captured.err.count("\n") == 1
+    assert not recwarn.list
+
+
+def test_largest_accepted_qcels_delta_is_finite(capsys, recwarn):
+    assert run(["qcels-demo", "--eps", "1", "--delta", "1e153", "--trials", "3"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["median_error"])
+    assert not recwarn.list
+
+
+def _assert_nan_refused(capsys, out):
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_json_summary_never_holds_nan(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "multilevel_qcels", lambda *args, **kwargs: [math.nan] * 3)
+    out = tmp_path / "demo.json"
+    assert run(["qcels-demo", "--trials", "3", "--out", str(out)]) == 1
+    _assert_nan_refused(capsys, out)
+
+
+def test_estimate_report_never_holds_nan(tmp_path, capsys, monkeypatch):
+    build_report = cli.build_report
+    monkeypatch.setattr(
+        cli, "build_report", lambda *a, **kw: replace(build_report(*a, **kw), n_qubit=math.nan)
+    )
+    out = tmp_path / "report.json"
+    assert run(["estimate", "--n", "4", "--calibrate-nmax", "3397", "--out", str(out)]) == 1
+    _assert_nan_refused(capsys, out)

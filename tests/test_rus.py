@@ -1,17 +1,20 @@
 """Analytic trial-count series and the parallel rotation Monte Carlo.
 
-``reference_update_injection_regions`` is the original region growth: every
-ring rescans all region cells and collects the claimants of each free node
-before picking the smallest region.  ``update_injection_regions`` scans only
-the previous ring's cells and keeps one winner per node; both must return the
-same regions, in the same key order, and leave the same free set.
+``reference_update_injection_regions`` is the original region growth on
+coordinate sets, with ``_grid_neighbors`` as its neighbour lookup: every ring
+rescans all region cells and collects the claimants of each free node before
+picking the smallest region.  ``update_injection_regions`` grows bitmasks by
+shifts, one dilation per claimant per ring; the tests reach it through
+``grow_masks``, which converts sets to masks and back.  Both must return the
+same regions and leave the same free set.
 
-``reference_simulate_parallel_rus`` is the original Monte Carlo loop: one
-scalar ``rng.random()`` per draw and the per-clock injection chance
-recomputed at every use.  ``simulate_parallel_rus`` reads the same uniforms
-from blocks and keeps each awaiting process's chance; both must return the
-same completions, or raise the same error, after the same ``success_prob``
-calls.
+``reference_simulate_parallel_rus`` is the original Monte Carlo loop on
+coordinate sets, growing regions with ``reference_update_injection_regions``:
+one scalar ``rng.random()`` per draw and the per-clock injection chance
+recomputed at every use.  ``simulate_parallel_rus`` holds regions as
+bitmasks, reads the same uniforms from blocks and keeps each awaiting
+process's chance; both must return the same completions, or raise the same
+error, after the same ``success_prob`` calls.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -22,6 +25,7 @@ bracket end.
 """
 
 import math
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -35,8 +39,8 @@ from starsched.cli import run
 from starsched.injection import SHIPPED_CONFIGS, InfeasibleModel, InjectionConfig, success_prob
 from starsched.rus import (
     MAX_RUN_CLOCKS,
+    FreeCells,
     RusStats,
-    _grid_neighbors,
     benchmark_layout,
     calibrate_p_pass,
     expected_trials,
@@ -92,12 +96,51 @@ def test_sampled_mean_matches_series():
         assert abs(draws.mean() - expected_trials(m)) < 3 * sigma
 
 
+def _grid_neighbors(cells):
+    """Lookup of each cell's in-grid neighbours, built once per grid."""
+    table = {
+        (r, c): [nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if nb in cells]
+        for r, c in cells
+    }
+    return table.__getitem__
+
+
+def to_mask(cells, cols):
+    """Bitmask of coordinate cells, cell (r, c) at bit r·cols + c."""
+    return sum(1 << (r * cols + c) for r, c in cells)
+
+
+def to_cells(bits, cols):
+    return {divmod(i, cols) for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+def grid_masks(rows, cols):
+    """(cols, not_first_col, not_last_col) of a rows × cols grid."""
+    first_col = to_mask(((r, 0) for r in range(rows)), cols)
+    full = (1 << rows * cols) - 1
+    return cols, full ^ first_col, full ^ (first_col << (cols - 1))
+
+
+def grow_masks(free, regions, rows, cols):
+    """``update_injection_regions`` on coordinate sets over a rows × cols grid.
+
+    Converts ``free`` and ``regions`` to bitmasks, grows them, and returns
+    the grown regions as sets; ``free`` loses the assigned cells in place.
+    Also checks that it returns exactly the pids whose regions grew.
+    """
+    box = FreeCells(to_mask(free, cols))
+    masks = {pid: to_mask(region, cols) for pid, region in regions.items()}
+    grown_pids = update_injection_regions(box, masks, grid_masks(rows, cols))
+    free.intersection_update(to_cells(box.bits, cols))
+    grown = {pid: to_cells(bits, cols) for pid, bits in masks.items()}
+    assert grown_pids == {pid for pid in regions if grown[pid] != regions[pid]}
+    return grown
+
+
 def test_region_growth_stays_disjoint_and_consumes_free():
     free = {(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)}
     regions = {0: {(0, 0)}, 1: {(0, 4)}}
-    cells = free | {c for r in regions.values() for c in r} | {(1, 0), (1, 4)}
-    neighbors = _grid_neighbors(cells)
-    grown = update_injection_regions(free, regions, neighbors)
+    grown = grow_masks(free, regions, 2, 5)
     assert not grown[0] & grown[1]
     assert grown[0] >= regions[0] and grown[1] >= regions[1]
     for pid, region in grown.items():
@@ -124,10 +167,8 @@ def reference_update_injection_regions(free, regions, neighbors):
             free.discard(node)
 
 
-def draw_grid(rows, cols, data):
-    """Neighbour function, free set and regions of a random labelled grid."""
-    # label per cell: -3 hole (not a cell), -2 target, -1 free, 0..3 region id
-    labels = {(r, c): data.draw(st.integers(-3, 3)) for r in range(rows) for c in range(cols)}
+def labelled_grid(labels):
+    """Neighbour function, free set and regions of a labelled grid."""
     neighbors = _grid_neighbors({cell for cell, lab in labels.items() if lab != -3})
     free = {cell for cell, lab in labels.items() if lab == -1}
     regions: dict[int, set] = {}
@@ -137,12 +178,20 @@ def draw_grid(rows, cols, data):
     return neighbors, free, regions
 
 
+def draw_grid(rows, cols, data):
+    """Neighbour function, free set and regions of a random labelled grid."""
+    # label per cell: -3 hole (not a cell), -2 target, -1 free, 0..3 region id
+    return labelled_grid(
+        {(r, c): data.draw(st.integers(-3, 3)) for r in range(rows) for c in range(cols)}
+    )
+
+
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_region_growth_invariants(rows, cols, data):
     neighbors, free, regions = draw_grid(rows, cols, data)
     free_before = set(free)
-    grown = update_injection_regions(free, regions, neighbors)
+    grown = grow_masks(free, regions, rows, cols)
     claimed = [cell for region in grown.values() for cell in region]
     assert len(claimed) == len(set(claimed))  # pairwise disjoint
     assert not set(claimed) & free
@@ -156,19 +205,37 @@ def test_region_growth_invariants(rows, cols, data):
 def test_region_growth_matches_reference(rows, cols, data):
     neighbors, free, regions = draw_grid(rows, cols, data)
     free_ref = set(free)
-    grown = update_injection_regions(free, regions, neighbors)
+    grown = grow_masks(free, regions, rows, cols)
     expected = reference_update_injection_regions(free_ref, regions, neighbors)
     assert grown == expected
     assert list(grown) == list(expected)
     assert free == free_ref
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_region_growth_matches_reference_past_one_word(seed):
+    # 4 × 100 cells: masks of 400 bits, and regions that cross bit 64
+    rows, cols = 4, 100
+    rng = random.Random(seed)
+    weights = [1, 2, 24] + [1] * 12  # mostly free cells, twelve region ids
+    labels = {
+        (r, c): rng.choices(range(-3, 12), weights)[0] for r in range(rows) for c in range(cols)
+    }
+    neighbors, free, regions = labelled_grid(labels)
+    assert any(c >= 64 for region in regions.values() for _, c in region)
+    free_ref = set(free)
+    grown = grow_masks(free, regions, rows, cols)
+    expected = reference_update_injection_regions(free_ref, regions, neighbors)
+    assert grown == expected
+    assert free == free_ref
+    assert any(len(region) > 30 for region in grown.values())
+
+
 def test_region_tie_break_prefers_lower_id():
     # one free cell adjacent to both equally sized regions
     free = {(0, 1)}
     regions = {0: {(0, 0)}, 1: {(0, 2)}}
-    neighbors = _grid_neighbors({(0, 0), (0, 1), (0, 2)})
-    grown = update_injection_regions(free, regions, neighbors)
+    grown = grow_masks(free, regions, 1, 3)
     assert (0, 1) in grown[0]
     assert grown[1] == {(0, 2)}
 
@@ -183,6 +250,18 @@ def test_layout_shapes():
     assert all_target_cells | all_region_cells <= cells
     targets_zz, _, _ = benchmark_layout(4, "ZZ")
     assert all(len(t) == 2 for t in targets_zz.values())
+
+
+@pytest.mark.parametrize("m, basis", [(1, "Z"), (7, "Z"), (40, "Z"), (1, "ZZ"), (100, "ZZ")])
+def test_batch_masks_match_layout(m, basis):
+    targets, regions, cells = benchmark_layout(m, basis)
+    cols = len(cells) // 4
+    used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
+    masks, free, grid, meas_clocks = rus._batch(m, basis)
+    assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
+    assert free == to_mask(cells - used, cols)
+    assert grid == grid_masks(4, cols)
+    assert meas_clocks == len(basis)
 
 
 def test_single_rotation_mean_clocks():
@@ -297,7 +376,7 @@ def reference_simulate_parallel_rus(
                         buffered[pid] = False
                         meas_left[pid] = meas_clocks
             if adaptive and 0 < len(regions) < ongoing:
-                regions = update_injection_regions(free, regions, neighbors)
+                regions = reference_update_injection_regions(free, regions, neighbors)
         return t
 
     completions = tuple(run_once(i) for i in range(runs))
