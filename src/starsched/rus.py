@@ -10,8 +10,7 @@ The Monte Carlo holds each injection region, and a run's free patches, as
 an int over the batch's rows × cols grid, cell (r, c) at bit r·cols + c.  One
 ring of growth is four shifts, ``x >> cols``, ``x << cols``, ``(x &
 not_first_col) >> 1`` and ``(x & not_last_col) << 1``; the column masks stop
-a row's edge from wrapping into the next row.  Claimants of a ring take free
-cells in (region size at the start of the ring, pid) order.
+a row's edge from wrapping into the next row.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ def update_injection_regions(
     near = grow(avail)
     ring = [pid for pid, region in regions.items() if region & near]
     grown: set[int] = set()
-    while len(ring) > 1:
+    while ring:
         claimed = []
         for _, pid in sorted([(regions[pid].bit_count(), pid) for pid in ring]):
             if got := grow(regions[pid]) & avail:
@@ -116,13 +115,6 @@ def update_injection_regions(
                 claimed.append(pid)
         grown.update(claimed)
         ring = claimed
-    for pid in ring:  # a region that gains nothing never gains again: the last floods alone
-        region = regions[pid]
-        while got := grow(region) & avail:
-            avail ^= got
-            region |= got
-        regions[pid] = region
-        grown.add(pid)
     free.bits = avail
     return grown
 
