@@ -286,9 +286,13 @@ def build_report(
     when ``calibrate_nmax`` is given, from inverting the largest-circuit
     step count.
     """
-    if calibrate_nmax is not None and calibrate_nmax < 1:
-        raise ValueError(f"calibrate_nmax must be at least 1, got {calibrate_nmax}")
     cfg = config or EstimatorConfig()
+    # the largest circuit runs n_pairs · n_last >= n_pairs steps
+    if calibrate_nmax is not None and calibrate_nmax < cfg.n_pairs:
+        raise ValueError(
+            f"--calibrate-nmax must be at least qcels.n_pairs = {cfg.n_pairs}, "
+            f"got {calibrate_nmax}"
+        )
     spec = HubbardSpec(n, cfg.t, cfg.u)
     lam = one_norm(spec)
     if t_trotter is None:
@@ -308,6 +312,12 @@ def build_report(
             normalize(eps_t, lam),
             cfg.delta,
         )
+        if not (math.isfinite(w_norm) and w_norm > 0):
+            raise InfeasibleModel(
+                f"calibrated Trotter error norm is {w_norm!r}: --calibrate-nmax "
+                f"{calibrate_nmax}, qcels.delta {cfg.delta} and one-norm {lam!r} "
+                f"(from model.t {cfg.t}, model.u {cfg.u}) put it out of range"
+            )
     eps_q, eps_t, n_total, n_max = optimize_split(
         cfg.eps_targ, lam, w_norm, cfg.delta, cfg.n_pairs, cfg.n_samples
     )

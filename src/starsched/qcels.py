@@ -4,7 +4,8 @@ The Hadamard test at evolution time t yields Z(t) = Σ_i p_i e^{-i λ_i t} up
 to sampling noise.  Each level fits a single complex exponential to N points
 spaced τ_j apart and halves the eigenphase search interval around the fit.
 Independent trials run together: each level's signals and fits are arrays of
-shape (trials, N).
+shape (trials, N).  numpy is imported inside the functions that use it, so
+importing this module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .estimator import QcelsParams
 
@@ -38,7 +37,7 @@ class SyntheticSpectrum:
 
     @property
     def dominant(self) -> float:
-        return self.phases[int(np.argmax(self.weights))]
+        return self.phases[self.weights.index(max(self.weights))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +64,8 @@ def synth_signal(
     The noiseless series is computed once.  Row k draws its noise as
     default_rng(seeds[k]).normal(size=2·n_pairs), real and imaginary parts
     alternating, the same numbers as one scalar draw after another."""
+    import numpy as np
+
     if n_pairs < 2:
         raise ValueError("need at least two data points")
     times = tuple(i * tau for i in range(n_pairs))
@@ -112,6 +113,8 @@ def qcels_fit(
     for bit, those of fitting one trial at a time.
     Returns the arrays (r*, θ*), one entry per trial.
     """
+    import numpy as np
+
     t = series.times
     z = series.values
     lo = np.asarray(lo, dtype=float)
@@ -179,6 +182,8 @@ def multilevel_qcels(
     fitted together, level by level.  Returns the final eigenphase estimate
     of each trial, in seed order, equal to running the trials one by one.
     """
+    import numpy as np
+
     params = QcelsParams(delta, n_pairs, n_samples, eps)
     # Shot noise from the level's full measurement budget M = 2·n_pairs·
     # n_samples: each quadrature carries the worst-case standard error of a

@@ -11,6 +11,9 @@ an int over the batch's rows × cols grid, cell (r, c) at bit r·cols + c.  One
 ring of growth is four shifts, ``x >> cols``, ``x << cols``, ``(x &
 not_first_col) >> 1`` and ``(x & not_last_col) << 1``; the column masks stop
 a row's edge from wrapping into the next row.
+
+numpy is imported only inside the functions that draw, so the analytics
+(and every command that needs only them) start without it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .injection import (
     SHIPPED_CONFIGS,
@@ -220,6 +221,8 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
 
     The uniforms read are the first ones of ``default_rng((seed, run_idx))``.
     """
+    import numpy as np
+
     regions0, free0, grid, meas_clocks = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
@@ -357,6 +360,8 @@ def calibrate_p_pass(
     completed before, and the angle and clock caps do not depend on the pass
     rate, so the errors raised are those of a full re-run too.
     """
+    import numpy as np
+
     if not (math.isfinite(target_mean) and target_mean > 0):
         raise ValueError(
             f"target mean must be a positive number of clocks, got {target_mean!r}"

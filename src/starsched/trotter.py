@@ -35,9 +35,9 @@ MULTI_CNOT_CLOCKS = fabric.CATALOG["multi_target_cnot_reduced"]
 MULTI_CZ_LAYER_CLOCKS = 2 * fabric.CATALOG["multi_target_cz"]  # both spin rows
 # a controlled step adds two multi-target CNOT and two multi-target CZ layers
 CONTROLLED_STEP_CLOCKS = 2 * MULTI_CNOT_CLOCKS + 2 * MULTI_CZ_LAYER_CLOCKS
-# once per circuit: two CNOT layers (5 clocks each) and two ancilla move
-# layers (3 clocks each) at the ends of the controlled evolution
-CONTROLLED_BOUNDARY_CLOCKS = 16.0
+# once per circuit: two CNOT layers and two ancilla move layers at the ends
+# of the controlled evolution
+CONTROLLED_BOUNDARY_CLOCKS = 2 * MULTI_CNOT_CLOCKS + 2 * MOVE_CLOCKS
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import starsched
 from starsched import cli
 from starsched.cli import run
 
@@ -96,6 +99,8 @@ def test_estimate_exit_codes(tmp_path):
     )
     report = json.loads(out.read_text())
     assert report["d"] == 9
+    # the smallest target the largest circuit can meet: qcels.n_pairs steps
+    assert run(["estimate", "--n", "4", "--calibrate-nmax", "5", "--out", str(out)]) == 0
 
 
 def test_estimate_config_file(tmp_path):
@@ -210,6 +215,8 @@ ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
         ["avg-trials", "--m-max", "0"],
         ["qcels-demo", "--pairs", "0", "--trials", "1"],
         ["qcels-demo", "--pairs", "-1", "--trials", "1"],
+        ["estimate", "--n", "4", "--calibrate-nmax", "1"],
+        ["estimate", "--n", "4", "--calibrate-nmax", "4"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -230,6 +237,8 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
         assert next(iter(content)) in err
     elif argv[0] == "avg-trials":
         assert "--m-max" in err
+    elif argv[-2] == "--calibrate-nmax":
+        assert "--calibrate-nmax" in err and "qcels.n_pairs" in err
     elif "--pairs" in argv:
         assert "data points per level" in err
 
@@ -254,6 +263,18 @@ def test_runaway_rus_run_is_infeasible(capsys):
     assert run(["simulate-rus", "--m", "4", "--runs", "1", "--p-pass", "1e-12"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [{"qcels": {"delta": 1e300}}, {"model": {"u": 1e300}}])
+def test_underflowing_calibrated_norm_is_named(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(ESTIMATE + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: calibrated Trotter error norm is 0.0")
+    assert err.count("\n") == 1
+    for name in ("--calibrate-nmax", "qcels.delta", "one-norm", "model.t", "model.u"):
+        assert name in err
 
 
 def test_negative_sample_count_is_named(capsys):
@@ -341,3 +362,25 @@ def test_estimate_report_never_holds_nan(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
     assert run(["estimate", "--n", "4", "--calibrate-nmax", "3397", "--out", str(out)]) == 1
     _assert_nan_refused(capsys, out)
+
+
+def test_deterministic_commands_do_not_import_numpy(tmp_path):
+    # A fresh interpreter: this one has numpy loaded already.
+    code = (
+        "import sys\n"
+        "from starsched import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (\n"
+        "    ['avg-trials'],\n"
+        "    ['compile-trotter', '--n', '2'],\n"
+        "    ['compare-serial', '--n', '4'],\n"
+        "    ['estimate', '--n', '4', '--calibrate-nmax', '3397'],\n"
+        "):\n"
+        "    assert cli.run(argv + ['--out', f'{out}/{argv[0]}']) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(starsched.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert len(list(tmp_path.iterdir())) == 4
