@@ -125,7 +125,7 @@ def cmd_compile_trotter(args) -> int:
             {"m": m, "basis": basis, "count": count} for (m, basis), count in groups
         ],
         "fixed_clocks": schedule.fixed_clocks,
-        "L": schedule.fswaps.depth,
+        "L": len(schedule.fswaps),
         "formula_clocks": trotter_clocks(args.n, rough_t_rus),
     }
     _emit(args, _json_text(summary))

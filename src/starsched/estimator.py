@@ -71,18 +71,15 @@ class QcelsParams:
         base = self.delta / (self.n_pairs * self.eps_qcels_norm)
         return tuple(2.0 ** (j - 1 - c) * base for j in range(1, self.levels + 1))
 
-    def validate(self) -> None:
-        t_max = self.n_pairs * self.tau[-1]
-        assert math.isclose(
-            t_max, self.delta / self.eps_qcels_norm, rel_tol=1e-12
-        ), "maximum evolution time identity violated"
-
 
 def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> int:
     """Steps per unit evolution time at level j: ceil((τ_j/2)·sqrt(W̃/ε̃_T))."""
     if w_norm <= 0 or eps_t_norm <= 0:
         raise ValueError("error norm and budget must be positive")
-    return max(1, math.ceil(tau_j / 2 * math.sqrt(w_norm / eps_t_norm)))
+    # A calibrated W̃ makes x an integer in exact arithmetic, which rounding can
+    # leave a few ulps above; the 1e-12 shave keeps ceil from adding a step.
+    x = tau_j / 2 * math.sqrt(w_norm / eps_t_norm)
+    return max(1, math.ceil(x * (1 - 1e-12)))
 
 
 def total_steps(
@@ -306,12 +303,15 @@ def build_report(
             raise InfeasibleModel(
                 "no Trotter error norm given and no step-count calibration target"
             )
-        w_norm = calibrate_w_norm(
-            calibrate_nmax,
-            normalize(eps_q, lam),
-            normalize(eps_t, lam),
-            cfg.delta,
-        )
+        try:
+            w_norm = calibrate_w_norm(
+                calibrate_nmax,
+                normalize(eps_q, lam),
+                normalize(eps_t, lam),
+                cfg.delta,
+            )
+        except OverflowError:
+            w_norm = math.inf
         if not (math.isfinite(w_norm) and w_norm > 0):
             raise InfeasibleModel(
                 f"calibrated Trotter error norm is {w_norm!r}: --calibrate-nmax "
@@ -322,7 +322,6 @@ def build_report(
         cfg.eps_targ, lam, w_norm, cfg.delta, cfg.n_pairs, cfg.n_samples
     )
     params = QcelsParams(cfg.delta, cfg.n_pairs, cfg.n_samples, normalize(eps_q, lam))
-    params.validate()
     eps_t_norm = normalize(eps_t, lam)
     steps = [trotter_steps_per_level(t, w_norm, eps_t_norm) for t in params.tau]
 

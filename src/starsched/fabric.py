@@ -1,8 +1,9 @@
 """Logical-patch grid, lattice-surgery operation catalog, and timeline checks.
 
 Time is measured in lattice-surgery clocks (1 clock = d code cycles).  All
-durations are multiples of 0.5 clocks and are stored internally as integer
-half-clocks, so arbitrarily long schedules accumulate no floating-point drift.
+starts and durations are multiples of 0.5 clocks.  A ``Timeline`` stores them
+as floats, checked for that granularity when added; ``validate`` converts
+them to integer half-clocks, so its interval comparisons are exact.
 """
 
 from __future__ import annotations

@@ -69,23 +69,12 @@ def effective_angle(theta: float, k: int) -> float:
 def theta_for_target(theta_star: float, k: int) -> float:
     """Invert the angle relation: raw θ producing effective angle θ*.
 
-    The forward map is strictly monotone on [0, π/4]; bisection to 1e-15
-    gives round-trip residuals below 1e-12 relative.
+    sin θ* = sinᵏθ / sqrt(sin²ᵏθ + cos²ᵏθ) gives tan θ* = tanᵏθ, so
+    θ = atan(tan(θ*)^(1/k)) on [0, π/4].
     """
     if not 0 <= theta_star <= effective_angle(ANGLE_CAP, k):
         raise ValueError(f"target angle {theta_star} outside invertible domain")
-    if theta_star == 0:
-        return 0.0
-    lo, hi = 0.0, ANGLE_CAP
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if effective_angle(mid, k) < theta_star:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-17:
-            break
-    return (lo + hi) / 2
+    return math.atan(math.tan(theta_star) ** (1 / k))
 
 
 def success_prob(target_angle: float, trial: int, cfg: InjectionConfig) -> float:

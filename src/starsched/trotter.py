@@ -17,7 +17,6 @@ from functools import partial
 from . import fabric
 from .fabric import SurgeryOp, Timeline, build_grid
 from .hubbard import (
-    FSwapSchedule,
     HubbardSpec,
     OrderingPair,
     build_hamiltonian,
@@ -55,7 +54,7 @@ class TrotterSchedule:
     batches: list[Batch]
     timeline: Timeline
     pair: OrderingPair
-    fswaps: FSwapSchedule
+    fswaps: tuple[tuple[int, ...], ...]  # swap layers taking ordering A to B
     rus_clocks: dict[tuple[int, str], float]
 
     @property
@@ -272,7 +271,7 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
     if controlled:
         half.append(emit_multi_cz)
     half += [partial(emit_xxyy, sub_a[0]), partial(emit_xxyy, sub_a[1])]
-    half += [partial(emit_fswap_layer, layer) for layer in fswaps.layers]
+    half += [partial(emit_fswap_layer, layer) for layer in fswaps]
     half.append(partial(emit_xxyy, sub_b[0]))
     for emit in half + [partial(emit_xxyy, sub_b[1])] + half[::-1]:
         emit()

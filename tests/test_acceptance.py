@@ -66,9 +66,9 @@ def test_02_analytic_trial_counts():
 
 # 3 ----------------------------------------------------------------------
 def test_03_swap_routing_depths():
-    assert route_orderings(default_orderings(4)).depth == 3
+    assert len(route_orderings(default_orderings(4))) == 3
     for n in (4, 6, 8, 10):
-        assert route_orderings(default_orderings(n)).depth == n - 1
+        assert len(route_orderings(default_orderings(n))) == n - 1
 
 
 def test_03_routing_composition_on_random_pairs():
@@ -165,7 +165,10 @@ def test_08_phase_estimation_bookkeeping():
         params = QcelsParams(
             0.06, 5, 100, normalize(report.eps_qcels, LAMBDA[n])
         )
-        params.validate()  # N tau_J = delta / eps exactly
+        # N tau_J = delta / eps exactly
+        assert math.isclose(
+            params.n_pairs * params.tau[-1], 0.06 / params.eps_qcels_norm, rel_tol=1e-12
+        )
         j = params.levels
         expected_ratio = 800 * (1 - 2.0**-j)
         assert report.n_total / report.n_max == pytest.approx(

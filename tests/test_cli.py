@@ -277,6 +277,26 @@ def test_underflowing_calibrated_norm_is_named(tmp_path, capsys, config):
         assert name in err
 
 
+def test_overflowing_calibrated_norm_is_named(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"qcels": {"delta": 1e-300}}))
+    assert run(ESTIMATE + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: calibrated Trotter error norm is inf")
+    assert err.count("\n") == 1
+    for name in ("--calibrate-nmax", "qcels.delta", "one-norm"):
+        assert name in err
+
+
+def test_calibrated_nmax_meets_every_target(capsys):
+    # the largest circuit runs n_pairs · n_last steps, so the smallest
+    # reachable count at or above target t is 5·ceil(t/5)
+    for target in range(5, 401):
+        assert run(["estimate", "--n", "4", "--calibrate-nmax", str(target)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_max"] == 5 * math.ceil(target / 5), target
+
+
 def test_negative_sample_count_is_named(capsys):
     assert run(["qcels-demo", "--samples", "-1", "--trials", "1"]) == 1
     err = capsys.readouterr().err

@@ -26,7 +26,6 @@ from starsched.estimator import (
 
 def test_level_times_double_and_hit_budget():
     params = QcelsParams(0.06, 5, 100, 0.01)
-    params.validate()
     for a, b in zip(params.tau, params.tau[1:]):
         assert b == pytest.approx(2 * a)
     assert params.n_pairs * params.tau[-1] == pytest.approx(0.06 / 0.01)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from starsched.hubbard import (
     HubbardSpec,
     OrderingError,
-    OrderingPair,
     _odd_even_route,
     build_hamiltonian,
     default_orderings,
@@ -19,8 +18,8 @@ from starsched.hubbard import (
     one_norm,
     route_orderings,
     sublayers,
-    validate_ordering_pair,
 )
+from starsched import hubbard
 
 
 def test_grid_edges_count():
@@ -53,11 +52,40 @@ def test_one_norm_scales_with_couplings():
     )
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+def _apply(order, layers):
+    cur = list(order)
+    for layer in layers:
+        used: set[int] = set()
+        for p in layer:
+            assert p not in used and p + 1 not in used
+            used.update((p, p + 1))
+            cur[p], cur[p + 1] = cur[p + 1], cur[p]
+    return tuple(cur)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
 def test_generated_pairs_validate(n):
+    # every property the construction guarantees, checked from scratch
     pair = default_orderings(n)
     assert pair.n == n
-    validate_ordering_pair(pair)
+    v = n * n
+    assert sorted(pair.order_a) == sorted(pair.order_b) == list(range(v))
+    grid = set(grid_edges(n))
+    ea, eb = set(pair.edges_a), set(pair.edges_b)
+    assert not ea & eb
+    assert ea | eb == grid
+    for edges, order in ((ea, pair.order_a), (eb, pair.order_b)):
+        pos = {s: p for p, s in enumerate(order)}
+        assert all(abs(pos[a] - pos[b]) == 1 for a, b in edges)
+        half0, half1 = sublayers(edges, order)
+        assert len(half0) == len(half1)
+        assert set(half0) | set(half1) == edges
+        for half in (half0, half1):
+            sites = [s for e in half for s in e]
+            assert len(sites) == len(set(sites))
+    layers = route_orderings(pair)
+    assert len(layers) == n - 1
+    assert _apply(pair.order_a, layers) == pair.order_b
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
@@ -69,7 +97,6 @@ def test_default_orderings_rejects_small_lattices(n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_shipped_pairs_cover_all_edges(n):
     pair = default_orderings(n)
-    validate_ordering_pair(pair)
     assert set(pair.edges_a) | set(pair.edges_b) == {
         tuple(sorted(e)) for e in grid_edges(n)
     }
@@ -78,8 +105,7 @@ def test_shipped_pairs_cover_all_edges(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_routing_depth(n):
-    sched = route_orderings(default_orderings(n))
-    assert sched.depth == n - 1
+    assert len(route_orderings(default_orderings(n))) == n - 1
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -96,13 +122,19 @@ def test_sublayers_balanced_and_disjoint(n):
                 seen.update((a, b))
 
 
-def test_invalid_ordering_rejected():
-    pair = default_orderings(4)
-    broken = OrderingPair(
-        pair.n, pair.order_a, pair.order_a, pair.edges_a, pair.edges_b
+def test_uncovered_edges_rejected(monkeypatch):
+    # row-major for both phases leaves every vertical edge non-local
+    monkeypatch.setattr(
+        hubbard, "_band_order", lambda n, phase: tuple(range(n * n))
     )
-    with pytest.raises(OrderingError):
-        validate_ordering_pair(broken)
+    with pytest.raises(OrderingError, match=r"local to neither ordering: \[\(0, 3\)"):
+        default_orderings(3)
+
+
+def test_unbalanced_sublayers_rejected():
+    # edges at line positions 0 and 2 both fall in the even half
+    with pytest.raises(OrderingError, match="unbalanced: 2 vs 0"):
+        sublayers([(0, 1), (2, 3)], (0, 1, 2, 3))
 
 
 @given(st.integers(2, 40), st.randoms(use_true_random=False))
@@ -113,14 +145,7 @@ def test_routing_composes_for_random_permutations(size, rnd):
     rnd.shuffle(start)
     rnd.shuffle(goal)
     layers = _odd_even_route(tuple(start), tuple(goal), 0)
-    cur = list(start)
-    for layer in layers:
-        used: set[int] = set()
-        for p in layer:
-            assert p not in used and p + 1 not in used
-            used.update((p, p + 1))
-            cur[p], cur[p + 1] = cur[p + 1], cur[p]
-    assert cur == goal
+    assert _apply(start, layers) == tuple(goal)
 
 
 def test_routing_depth_bounded_by_size():

@@ -80,7 +80,7 @@ def test_large_lattice_validates(n, mode):
     v = n * n
     pos_b = {s: p for p, s in enumerate(sched.pair.order_b)}
     swaps = _inversions([pos_b[s] for s in sched.pair.order_a])
-    assert swaps == sum(len(layer) for layer in sched.fswaps.layers)
+    assert swaps == sum(map(len, sched.fswaps))
     expected = 4 * v + 7 * n * (n - 1) + 4 * swaps + (6 if mode == "controlled" else 0)
     assert len(sched.timeline.ops) == expected
 
