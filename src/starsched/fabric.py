@@ -9,8 +9,9 @@ them to integer half-clocks, so its interval comparisons are exact.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 # Clock cost per operation kind.  This is data, not code.
 CATALOG: dict[str, float] = {
@@ -86,15 +87,6 @@ class PatchGrid:
     def patch_count(self) -> int:
         return len(self.cells)
 
-    def in_bounds(self, coord: Coord) -> bool:
-        return coord in self.cells
-
-    def neighbors(self, coord: Coord):
-        r, c = coord
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in self.cells:
-                yield nb
-
 
 def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     """Patch grid for an n x n model: rows 0/3 data, rows 1/2 routing.
@@ -149,19 +141,30 @@ class Timeline:
         return max((s + op.duration for s, op in self.ops), default=0.0)
 
     def to_jsonl(self) -> str:
-        """One op per line with stable field order, for diffing."""
-        return "".join(
-            json.dumps(
-                {
-                    "start": start,
-                    "kind": op.kind,
-                    "participants": [list(c) for c in op.participants],
-                    "duration": op.duration,
-                }
+        """One op per line with stable field order, for diffing.
+
+        Each line is what ``json.dumps`` writes for {"start", "kind",
+        "participants", "duration"}: a finite float goes through
+        ``float.__repr__`` as in ``json.encoder`` (so ``np.float64(3)`` writes
+        ``3.0``), each distinct kind is encoded once, and a coord is ``[r, c]``.
+        """
+        kinds: dict[str, str] = {}
+        lines = []
+        for start, op in self.ops:
+            if op.kind not in kinds:
+                kinds[op.kind] = json.dumps(op.kind)
+            parts = ", ".join([f"[{r}, {c}]" for r, c in op.participants])
+            lines.append(
+                f'{{"start": {_json_number(start)}, "kind": {kinds[op.kind]}, '
+                f'"participants": [{parts}], '
+                f'"duration": {_json_number(op.duration)}}}\n'
             )
-            + "\n"
-            for start, op in self.ops
-        )
+        return "".join(lines)
+
+
+def _json_number(x: float) -> str:
+    # finite floats as json.encoder writes them; ints, NaN and inf through json
+    return float.__repr__(x) if isinstance(x, float) and x - x == 0 else json.dumps(x)
 
 
 @dataclass(frozen=True)
@@ -181,28 +184,41 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     start clock.  The verdict does not depend on op-list order: candidate
     conflicts are collected and the earliest (by clock, then coord) returned.
 
-    Cost: one sort of the ops, then an event sweep over the distinct start
-    clocks of merge ops.  The set of busy patches is kept incrementally and
-    the free routing set is built once per such clock, so the check is
-    O(ops log ops + clocks x routing patches) plus one search per merge op,
-    which stops as soon as it reaches all of the op's participants.
+    A routing patch is free at clock t when no op holds it over [s, e) with
+    s <= t < e.  Free patches only add cells to a merge's search from its
+    first participant, so a merge whose participants are connected through
+    its own patches alone passes without looking at busy state.  The merges
+    left over (in a compiled controlled step, the two multi-target CZs on
+    row 3, whose ancilla touches row 1) get the free routing set at their
+    start clock from the per-patch intervals of the overlap check, and their
+    search goes on from the cells already reached.
+
+    Cost: one sort of the ops and of each patch's intervals, one search over
+    its own patches per distinct participant tuple of a merge, and one pass
+    over the routing patches' intervals per start clock of a merge that is
+    not self-connected.
     """
     # deterministic op identity independent of insertion order
     ordered = sorted(
         timeline.ops, key=lambda so: (so[0], so[1].kind, so[1].participants)
     )
-    spans = []  # (s, e) half-clocks per rank
+    cells = grid.cells
+    half = lru_cache(maxsize=None)(to_half)
     conflicts: list[Conflict] = []
-    intervals: dict[Coord, list[tuple[int, int, int]]] = {}
+    intervals: dict[Coord, list[tuple[int, int, int]]] = defaultdict(list)
+    merges = []  # (rank, start half-clock) of in-bounds merge ops
     for rank, (start, op) in enumerate(ordered):
-        s = to_half(start)
-        e = s + to_half(op.duration)
-        spans.append((s, e))
+        s = half(start)
+        span = (s, s + half(op.duration), rank)
+        inside = True
         for coord in op.participants:
-            if not grid.in_bounds(coord):
+            if coord in cells:
+                intervals[coord].append(span)
+            else:
                 conflicts.append(Conflict(start, coord, (rank,), "out of bounds"))
-                continue
-            intervals.setdefault(coord, []).append((s, e, rank))
+                inside = False
+        if inside and len(op.participants) >= 2 and op.kind in _MERGE_KINDS:
+            merges.append((rank, s))
     for coord, ivs in intervals.items():
         ivs.sort()
         for (s1, e1, r1), (s2, e2, r2) in zip(ivs, ivs[1:]):
@@ -210,58 +226,41 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
                 conflicts.append(
                     Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
                 )
-    conflicts.extend(_disconnected_merges(ordered, spans, grid))
+    free_at: dict[int, set[Coord]] = {}
+    own_reach: dict[tuple[Coord, ...], set[Coord]] = {}
+    for rank, s in merges:
+        start, op = ordered[rank]
+        parts = op.participants
+        if parts not in own_reach:
+            own_reach[parts] = _reach({parts[0]}, set(parts))
+        seen = own_reach[parts]
+        if not seen.issuperset(parts):
+            if s not in free_at:
+                free_at[s] = {
+                    c
+                    for c, p in cells.items()
+                    if p.role == "routing"
+                    and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
+                }
+            seen = _reach(set(seen), free_at[s].union(parts))
+        for coord in parts:
+            if coord not in seen:
+                conflicts.append(
+                    Conflict(start, coord, (rank,), "participants disconnected")
+                )
+                break
     if not conflicts:
         return None
     return min(conflicts, key=lambda c: (c.clock, c.coord, c.op_indices))
 
 
-def _disconnected_merges(ordered, spans, grid: PatchGrid):
-    """Connectivity of merge-type ops at their start clock, by event sweep.
-
-    Ranks are in start order.  A patch is busy at clock t when some op holds
-    it over [s, e) with s <= t < e.  The merge op itself counts as busy too,
-    which changes nothing: its own participants are always allowed in its
-    search.
-    """
-    merges = [
-        rank
-        for rank, (_, op) in enumerate(ordered)
-        if op.kind in _MERGE_KINDS
-        and len(op.participants) >= 2
-        and all(grid.in_bounds(c) for c in op.participants)
-    ]
-    if not merges:
-        return
-    routing = [c for c, p in grid.cells.items() if p.role == "routing"]
-    by_end = sorted(range(len(spans)), key=lambda r: spans[r][1])
-    busy: Counter = Counter()
-    added = ended = 0
-    clock = None
-    for rank in merges:
-        if spans[rank][0] != clock:
-            clock = spans[rank][0]
-            while added < len(spans) and spans[added][0] <= clock:
-                busy.update(ordered[added][1].participants)
-                added += 1
-            while ended < len(by_end) and spans[by_end[ended]][1] <= clock:
-                busy.subtract(ordered[by_end[ended]][1].participants)
-                ended += 1
-            free = {c for c in routing if busy[c] <= 0}
-        start, op = ordered[rank]
-        parts = op.participants
-        own = set(parts)
-        missing = own - {parts[0]}
-        seen = {parts[0]}
-        stack = [parts[0]]
-        while stack and missing:
-            cur = stack.pop()
-            for nb in grid.neighbors(cur):
-                if (nb in free or nb in own) and nb not in seen:
-                    seen.add(nb)
-                    missing.discard(nb)
-                    stack.append(nb)
-        for coord in parts:
-            if coord not in seen:
-                yield Conflict(start, coord, (rank,), "participants disconnected")
-                break
+def _reach(seen: set[Coord], allowed: set[Coord]) -> set[Coord]:
+    """Grow ``seen`` in place to every cell joined to it through ``allowed``."""
+    stack = list(seen)
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nb in allowed and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen

@@ -1,10 +1,14 @@
-"""Patch grid, operation catalog, and timeline conflict validation."""
+"""Patch grid, operation catalog, timeline conflict validation and export."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsched.fabric import (
+    CATALOG,
     SurgeryOp,
     Timeline,
     build_grid,
@@ -12,6 +16,7 @@ from starsched.fabric import (
     to_half,
     validate,
 )
+from starsched.trotter import compile_step
 
 
 def test_catalog_costs():
@@ -48,7 +53,7 @@ def test_grid_shape():
     assert grid.cols == 16
     qpe = build_grid(4, with_qpe_ancilla=True)
     assert qpe.patch_count == 4 * 16 + 1
-    assert qpe.qpe_ancilla is not None and qpe.in_bounds(qpe.qpe_ancilla)
+    assert qpe.qpe_ancilla is not None and qpe.qpe_ancilla in qpe.cells
 
 
 def test_op_duration_must_match_catalog():
@@ -128,8 +133,6 @@ def test_validation_is_order_independent(rnd):
 
 
 def test_export_jsonl_round_trip():
-    import json
-
     tl = Timeline()
     tl.add(0.0, SurgeryOp("cnot", ((0, 0), (1, 0)), 3))
     tl.add(3.0, SurgeryOp("cz", ((0, 0), (1, 0)), 4))
@@ -137,3 +140,57 @@ def test_export_jsonl_round_trip():
     assert lines[0]["kind"] == "cnot" and lines[0]["start"] == 0.0
     assert lines[1]["duration"] == 4
     assert tl.horizon == 7.0
+
+
+def reference_jsonl(timeline):
+    """The exporter that ``Timeline.to_jsonl`` replaced: one json.dumps per op."""
+    return "".join(
+        json.dumps(
+            {
+                "start": start,
+                "kind": op.kind,
+                "participants": [list(c) for c in op.participants],
+                "duration": op.duration,
+            }
+        )
+        + "\n"
+        for start, op in timeline.ops
+    )
+
+
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+def test_jsonl_matches_reference_on_compiled_steps(mode):
+    for n in range(2, 11):
+        tl = compile_step(n, mode=mode).timeline
+        assert tl.to_jsonl() == reference_jsonl(tl)
+
+
+def _clock(halves, as_type):
+    """A clock at 0.5 granularity as an int (whole clocks only), a float or an
+    np.float64, all of which json.dumps writes."""
+    if as_type is int:
+        return halves // 2 if halves % 2 == 0 else halves / 2
+    return as_type(halves / 2)
+
+
+CLOCKS = st.builds(
+    _clock, st.integers(0, 400), st.sampled_from([int, float, np.float64])
+)
+COORDS = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def any_op(draw):
+    kind = draw(st.one_of(st.text(), st.sampled_from(sorted(CATALOG))))
+    duration = CATALOG[kind] if kind in CATALOG else draw(CLOCKS)
+    parts = tuple(draw(st.lists(COORDS, max_size=5)))
+    return draw(CLOCKS), SurgeryOp(kind, parts, duration)
+
+
+@given(st.lists(any_op(), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_jsonl_matches_reference_on_any_ops(ops):
+    tl = Timeline()
+    for start, op in ops:
+        tl.add(start, op)
+    assert tl.to_jsonl() == reference_jsonl(tl)

@@ -1,9 +1,10 @@
 """Differential test of fabric.validate against the quadratic reference check.
 
 ``reference_validate`` is the original implementation: for every merge op it
-rescans all ops to collect the patches busy at the op's start clock.  The
-event-sweep ``validate`` must return the same Conflict (or None) on every
-timeline.
+rescans all ops to collect the patches busy at the op's start clock, and it
+searches the whole grid for a path.  ``validate``, which skips the routing
+search for merges joined through their own patches, must return the same
+Conflict (or None) on every timeline.
 """
 
 from functools import lru_cache
@@ -25,6 +26,13 @@ from starsched.fabric import (
 from starsched.trotter import compile_step
 
 
+def _neighbors(grid, coord):
+    r, c = coord
+    for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+        if nb in grid.cells:
+            yield nb
+
+
 def reference_validate(timeline, grid):
     indexed = sorted(
         range(len(timeline.ops)),
@@ -34,13 +42,17 @@ def reference_validate(timeline, grid):
             timeline.ops[i][1].participants,
         ),
     )
+    ranked = [timeline.ops[i] for i in indexed]
+    # half-clock span [s, e) of each ranked op
+    spans = [
+        (to_half(start), to_half(start) + to_half(op.duration)) for start, op in ranked
+    ]
     conflicts = []
     intervals = {}
-    for rank, i in enumerate(indexed):
-        start, op = timeline.ops[i]
-        s, e = to_half(start), to_half(start) + to_half(op.duration)
+    for rank, (start, op) in enumerate(ranked):
+        s, e = spans[rank]
         for coord in op.participants:
-            if not grid.in_bounds(coord):
+            if coord not in grid.cells:
                 conflicts.append(Conflict(start, coord, (rank,), "out of bounds"))
                 continue
             intervals.setdefault(coord, []).append((s, e, rank))
@@ -51,21 +63,16 @@ def reference_validate(timeline, grid):
                 conflicts.append(
                     Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
                 )
-    for rank, i in enumerate(indexed):
-        start, op = timeline.ops[i]
+    for rank, (start, op) in enumerate(ranked):
         if op.kind not in _MERGE_KINDS or len(op.participants) < 2:
             continue
-        if any(not grid.in_bounds(c) for c in op.participants):
+        if any(c not in grid.cells for c in op.participants):
             continue
-        s = to_half(start)
+        s = spans[rank][0]
         busy = set()
-        for rank2, j in enumerate(indexed):
-            if rank2 == rank:
-                continue
-            st2, op2 = timeline.ops[j]
-            s2, e2 = to_half(st2), to_half(st2) + to_half(op2.duration)
-            if s2 <= s < e2:
-                busy.update(op2.participants)
+        for rank2, (s2, e2) in enumerate(spans):
+            if rank2 != rank and s2 <= s < e2:
+                busy.update(ranked[rank2][1].participants)
         allowed = set(op.participants) | {
             c for c, p in grid.cells.items() if p.role == "routing" and c not in busy
         }
@@ -73,7 +80,7 @@ def reference_validate(timeline, grid):
         stack = [op.participants[0]]
         while stack:
             cur = stack.pop()
-            for nb in grid.neighbors(cur):
+            for nb in _neighbors(grid, cur):
                 if nb in allowed and nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -122,7 +129,10 @@ def disjoint_timelines(draw):
 def adversarial_timelines(draw):
     """Merges at a few shared clocks, plus routing blockers placed on those
     clocks: starting with the merge, ending exactly at its start, zero
-    duration, or covering it; some participants out of bounds."""
+    duration, or covering it; some participants out of bounds.  Merges of
+    three or four participants mix cells adjacent to one already drawn with
+    distant ones, so some are joined through their own patches and some need
+    free routing patches."""
     n = draw(st.sampled_from([2, 3]))
     grid = build_grid(n, with_qpe_ancilla=draw(st.booleans()))
     v = grid.cols
@@ -137,6 +147,21 @@ def adversarial_timelines(draw):
         a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
         kind = draw(st.sampled_from(sorted(_MERGE_KINDS)))
         tl.add(draw(st.sampled_from(clocks)), SurgeryOp(kind, (a, b), CATALOG[kind]))
+    for _ in range(draw(st.integers(0, 2))):
+        parts = [draw(st.sampled_from(sorted(grid.cells)))]
+        for _ in range(draw(st.integers(2, 3))):
+            if draw(st.booleans()):
+                r, c = draw(st.sampled_from(parts))
+                near = [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
+                cell = draw(st.sampled_from([nb for nb in near if nb in grid.cells]))
+            else:
+                cell = draw(st.sampled_from(endpoints))
+            if cell not in parts:
+                parts.append(cell)
+        kind = draw(st.sampled_from(sorted(_MERGE_KINDS)))
+        tl.add(
+            draw(st.sampled_from(clocks)), SurgeryOp(kind, tuple(parts), CATALOG[kind])
+        )
     for _ in range(draw(st.integers(0, 6))):
         t = draw(st.sampled_from(clocks))
         col = draw(st.integers(0, v - 1))
@@ -229,4 +254,32 @@ def test_matches_reference_on_disconnecting_moves(n, t, i):
     grid = build_grid(n, with_qpe_ancilla=True)
     conflict = validate(tl, grid)
     assert conflict == reference_validate(tl, grid)
+    assert conflict.reason == "participants disconnected"
+
+
+# Merges whose participants touch through their own patches (an fSWAP shape
+# and an L of four cells), each with a cell whose removal splits them.
+SELF_CONNECTED = [
+    ("fswap", ((0, 2), (0, 3), (1, 2)), (0, 2)),
+    ("multi_target_cz", ((3, 1), (2, 1), (1, 1), (1, 2)), (1, 1)),
+]
+
+
+def _blocked_merge(kind, parts, grid):
+    """The merge at clock 2, with every other routing patch held over [1, 3)."""
+    routing = [c for c, p in grid.cells.items() if p.role == "routing"]
+    blocker = SurgeryOp("xxyy_block", tuple(c for c in routing if c not in parts), 2.0)
+    return Timeline([(2.0, SurgeryOp(kind, parts, CATALOG[kind])), (1.0, blocker)])
+
+
+@pytest.mark.parametrize("kind, parts, cut", SELF_CONNECTED)
+def test_self_connected_merge_needs_no_free_routing(kind, parts, cut):
+    grid = build_grid(3)
+    tl = _blocked_merge(kind, parts, grid)
+    assert validate(tl, grid) is None
+    assert reference_validate(tl, grid) is None
+    # without the cut cell the merge is split, and no free patch rejoins it
+    split = _blocked_merge(kind, tuple(c for c in parts if c != cut), grid)
+    conflict = validate(split, grid)
+    assert conflict == reference_validate(split, grid)
     assert conflict.reason == "participants disconnected"
