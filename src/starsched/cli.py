@@ -9,7 +9,7 @@ Subcommands:
   qcels-demo      multi-level phase estimation success-rate demo
 
 Tables are written as CSV and summaries as JSON.
-Exit codes: 0 success, 1 validation error, 2 infeasible model.
+Exit codes: 0 success, 1 validation error, 2 infeasible model or usage error.
 All outputs are written atomically (temp file + rename); the same argv and
 seed always produce byte-identical files.
 """
@@ -17,6 +17,7 @@ seed always produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -204,7 +205,10 @@ def cmd_qcels_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each subcommand's back-end is looked up when the command runs."""
     parser = argparse.ArgumentParser(
         prog="starsched",
         description=__doc__,

@@ -141,10 +141,10 @@ def logical_error_rate(d: int, p_phys: float) -> float:
     return 0.1 * d * (100 * p_phys) ** ((d + 1) / 2)
 
 
-def choose_distance(
-    n: int, clocks_per_circuit: float, p_phys: float, eps_logerr: float = 0.01
-) -> int:
-    """Smallest odd distance keeping the whole circuit's logical error budget.
+def expected_logical_errors(
+    n: int, clocks_per_circuit: float, d: int, p_phys: float
+) -> float:
+    """Expected logical errors of one circuit at code distance d.
 
     The operation count is patches x clocks: every one of the 4n²+1 patches
     is exposed for the full circuit duration.
@@ -152,8 +152,15 @@ def choose_distance(
     if p_phys >= 0.01:
         raise InfeasibleModel("physical error rate must be below threshold 0.01")
     n_op = (4 * n * n + 1) * clocks_per_circuit
+    return logical_error_rate(d, p_phys) * n_op
+
+
+def choose_distance(
+    n: int, clocks_per_circuit: float, p_phys: float, eps_logerr: float = 0.01
+) -> int:
+    """Smallest odd distance keeping the whole circuit's logical error budget."""
     for d in range(3, 53, 2):
-        if logical_error_rate(d, p_phys) * n_op < eps_logerr:
+        if expected_logical_errors(n, clocks_per_circuit, d, p_phys) < eps_logerr:
             return d
     raise InfeasibleModel("no code distance up to 51 meets the error budget")
 
@@ -328,6 +335,12 @@ def build_report(
     clocks_per_circuit = controlled_circuit_clocks(n_max, t_trotter)
     if cfg.d_override is not None:
         d = cfg.d_override
+        errors = expected_logical_errors(n, clocks_per_circuit, d, cfg.p_phys)
+        if not errors < cfg.eps_logerr:
+            raise InfeasibleModel(
+                f"code.d_override {d} expects {errors:.4g} logical errors per "
+                f"circuit, not below code.eps_logerr {cfg.eps_logerr}"
+            )
     else:
         d = choose_distance(n, clocks_per_circuit, cfg.p_phys, cfg.eps_logerr)
     k = cfg.k

@@ -2,8 +2,9 @@
 
 Time is measured in lattice-surgery clocks (1 clock = d code cycles).  All
 starts and durations are multiples of 0.5 clocks.  A ``Timeline`` stores them
-as floats, checked for that granularity when added; ``validate`` converts
-them to integer half-clocks, so its interval comparisons are exact.
+as given; ``validate`` is the one place that checks them (granularity, a
+non-negative duration, the catalog value of a catalog kind) and converts them
+to integer half-clocks, so its interval comparisons are exact.
 """
 
 from __future__ import annotations
@@ -47,14 +48,6 @@ _MERGE_KINDS = {
 }
 
 
-def catalog_cost(kind: str) -> float:
-    """Clock cost of a catalog operation."""
-    try:
-        return CATALOG[kind]
-    except KeyError:
-        raise KeyError(f"unknown operation kind: {kind!r}") from None
-
-
 def to_half(clocks: float) -> int:
     """Convert a clock value to integer half-clocks, requiring 0.5 granularity."""
     h = round(clocks * 2)
@@ -67,25 +60,12 @@ Coord = tuple[int, int]
 
 
 @dataclass
-class Patch:
-    role: str  # "data" | "routing"
-
-
-@dataclass
 class PatchGrid:
     """4 x V grid of logical patches: data row / two routing rows / data row."""
 
     n: int
-    cells: dict[Coord, Patch]
+    cells: dict[Coord, str]  # role: "data" | "routing"
     qpe_ancilla: Coord | None = None
-
-    @property
-    def cols(self) -> int:
-        return self.n * self.n
-
-    @property
-    def patch_count(self) -> int:
-        return len(self.cells)
 
 
 def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
@@ -99,15 +79,15 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     if n < 2:
         raise ValueError(f"lattice size must be at least 2, got {n}")
     v = n * n
-    cells: dict[Coord, Patch] = {}
+    cells: dict[Coord, str] = {}
     for r in range(4):
         role = "data" if r in (0, 3) else "routing"
         for c in range(v):
-            cells[(r, c)] = Patch(role)
+            cells[(r, c)] = role
     qpe = None
     if with_qpe_ancilla:
         qpe = (1, v)
-        cells[qpe] = Patch("data")
+        cells[qpe] = "data"
     return PatchGrid(n, cells, qpe)
 
 
@@ -117,23 +97,12 @@ class SurgeryOp:
     participants: tuple[Coord, ...]
     duration: float  # clocks, 0.5 granularity
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"{self.kind} duration {self.duration} is negative")
-        if self.kind in CATALOG and self.duration != CATALOG[self.kind]:
-            raise ValueError(
-                f"{self.kind} duration {self.duration} does not match "
-                f"catalog value {CATALOG[self.kind]}"
-            )
-        to_half(self.duration)  # granularity check
-
 
 @dataclass
 class Timeline:
     ops: list[tuple[float, SurgeryOp]] = field(default_factory=list)
 
     def add(self, start: float, op: SurgeryOp) -> None:
-        to_half(start)
         self.ops.append((start, op))
 
     @property
@@ -178,7 +147,12 @@ class Conflict:
 def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     """Check a timeline for spatial conflicts; None means the schedule is ok.
 
-    Rejects out-of-bounds coords, two ops claiming the same patch over
+    First each op's timing: a start or duration that is not a multiple of 0.5
+    clocks, a negative duration, or a catalog kind whose duration differs
+    from ``CATALOG`` raises ValueError.  Each distinct start and each distinct
+    (kind, duration) is checked once per call.
+
+    Then it rejects out-of-bounds coords, two ops claiming the same patch over
     overlapping clock intervals, and merge-type ops whose participants are
     not connected through their own patches plus free routing patches at the
     start clock.  The verdict does not depend on op-list order: candidate
@@ -204,12 +178,24 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     )
     cells = grid.cells
     half = lru_cache(maxsize=None)(to_half)
+
+    @lru_cache(maxsize=None)
+    def length(kind: str, duration: float) -> int:
+        if duration < 0:
+            raise ValueError(f"{kind} duration {duration} is negative")
+        if kind in CATALOG and duration != CATALOG[kind]:
+            raise ValueError(
+                f"{kind} duration {duration} does not match "
+                f"catalog value {CATALOG[kind]}"
+            )
+        return to_half(duration)
+
     conflicts: list[Conflict] = []
     intervals: dict[Coord, list[tuple[int, int, int]]] = defaultdict(list)
     merges = []  # (rank, start half-clock) of in-bounds merge ops
     for rank, (start, op) in enumerate(ordered):
         s = half(start)
-        span = (s, s + half(op.duration), rank)
+        span = (s, s + length(op.kind, op.duration), rank)
         inside = True
         for coord in op.participants:
             if coord in cells:
@@ -238,8 +224,8 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
             if s not in free_at:
                 free_at[s] = {
                     c
-                    for c, p in cells.items()
-                    if p.role == "routing"
+                    for c, role in cells.items()
+                    if role == "routing"
                     and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
                 }
             seen = _reach(set(seen), free_at[s].union(parts))

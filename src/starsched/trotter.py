@@ -55,7 +55,6 @@ class TrotterSchedule:
     timeline: Timeline
     pair: OrderingPair
     fswaps: tuple[tuple[int, ...], ...]  # swap layers taking ordering A to B
-    rus_clocks: dict[tuple[int, str], float]
 
     @property
     def fixed_clocks(self) -> float:
@@ -66,12 +65,6 @@ class TrotterSchedule:
         for b in self.batches:
             out.update(b.rus_groups)
         return out
-
-    @property
-    def total_clocks(self) -> float:
-        return self.fixed_clocks + sum(
-            self.rus_clocks[group] for b in self.batches for group in b.rus_groups
-        )
 
 
 def rough_t_rus(m: int, basis: str) -> float:
@@ -146,9 +139,9 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
     """Compile one Trotter step to batches plus a validated patch timeline.
 
     ``t_rus(M, basis)`` supplies the clock count charged to each RUS batch
-    (rough analytic model by default; quantized to half clocks).  The same
-    quantized values feed both the timeline and the clock accounting, so the
-    two always agree.
+    (rough analytic model by default; quantized to half clocks).  The
+    quantized values are the durations of the RUS ops, so the step's clock
+    count is ``timeline.horizon``.
     """
     if mode not in ("plain", "controlled"):
         raise ValueError(f"mode must be plain or controlled, got {mode!r}")
@@ -278,7 +271,7 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
 
     assert tuple(order) == pair.order_a, "step must restore the initial ordering"
 
-    schedule = TrotterSchedule(n, mode, batches, timeline, pair, fswaps, rus_clocks)
+    schedule = TrotterSchedule(n, mode, batches, timeline, pair, fswaps)
     conflict = fabric.validate(timeline, grid)
     if conflict is not None:
         raise AssertionError(f"compiled timeline failed validation: {conflict}")

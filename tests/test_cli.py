@@ -175,6 +175,35 @@ def test_repeat_runs_byte_identical(tmp_path, argv):
 ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
 
 
+def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypatch):
+    # One cached parser serves every run; each run's output and namespace
+    # must equal what a freshly built parser gives for the same argv.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trotter": {"w_norm": 1.0e7}, "code": {"d_override": 17}}))
+    runs = [
+        ["compare-serial", "--n", "5", "7"],
+        ESTIMATE + ["--config", str(cfg)],
+        ["compare-serial"],
+        ["compile-trotter", "--n", "2", "--mode", "controlled"],
+        ESTIMATE,
+        ["simulate-rus", "--m", "4", "--runs", "3", "--theta=-1e-8"],
+        ["compare-serial", "--n", "4"],
+        ["estimate", "--n", "6", "--config", str(cfg)],
+        ["avg-trials", "--m-max", "3"],
+        ["estimate", "--n", "4"],  # exits 2: no error norm
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [(run(argv), capsys.readouterr()) for argv in runs * 2]
+    assert [code for code, _ in cached] == [0] * 9 + [2] + [0] * 9 + [2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [(run(argv), capsys.readouterr()) for argv in runs * 2]
+    assert cached == fresh
+    monkeypatch.undo()
+    for argv in runs:
+        expected = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,6 +315,20 @@ def test_overflowing_calibrated_norm_is_named(tmp_path, capsys):
     assert err.count("\n") == 1
     for name in ("--calibrate-nmax", "qcels.delta", "one-norm"):
         assert name in err
+
+
+@pytest.mark.parametrize("d, code", [(3, 2), (7, 2), (9, 0), (11, 0)])
+def test_d_override_must_meet_logical_error_budget(tmp_path, capsys, d, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"code": {"d_override": d}}))
+    assert run(ESTIMATE + ["--config", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith(f"infeasible: code.d_override {d} expects ")
+        assert err.count("\n") == 1
+        assert "logical errors" in err and "code.eps_logerr 0.01" in err
+    else:
+        assert json.loads(out)["d"] == d
 
 
 def test_calibrated_nmax_meets_every_target(capsys):

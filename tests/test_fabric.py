@@ -12,7 +12,6 @@ from starsched.fabric import (
     SurgeryOp,
     Timeline,
     build_grid,
-    catalog_cost,
     to_half,
     validate,
 )
@@ -20,24 +19,21 @@ from starsched.trotter import compile_step
 
 
 def test_catalog_costs():
-    assert catalog_cost("hadamard") == 3
-    assert catalog_cost("hadamard_no_moveback") == 2
-    assert catalog_cost("cnot") == 3
-    assert catalog_cost("cnot_no_moveback") == 2
-    assert catalog_cost("cz") == 4
-    assert catalog_cost("s_gate") == 1.5
-    assert catalog_cost("multi_target_cnot") == 8
-    assert catalog_cost("multi_target_cnot_reduced") == 5
-    assert catalog_cost("multi_target_cz") == 2
-    assert catalog_cost("fswap") == 7
-    assert catalog_cost("patch_move_layer") == 3
-    assert catalog_cost("zz_rotation_trial") == 2
-    assert catalog_cost("joint_pauli_measurement") == 1
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(KeyError):
-        catalog_cost("teleport")
+    assert CATALOG == {
+        "hadamard": 3,
+        "hadamard_no_moveback": 2,
+        "cnot": 3,
+        "cnot_no_moveback": 2,
+        "cz": 4,
+        "s_gate": 1.5,
+        "multi_target_cnot": 8,
+        "multi_target_cnot_reduced": 5,
+        "multi_target_cz": 2,
+        "fswap": 7,
+        "patch_move_layer": 3,
+        "zz_rotation_trial": 2,
+        "joint_pauli_measurement": 1,
+    }
 
 
 def test_half_clock_granularity():
@@ -49,22 +45,37 @@ def test_half_clock_granularity():
 
 def test_grid_shape():
     grid = build_grid(4)
-    assert grid.patch_count == 4 * 16
-    assert grid.cols == 16
+    assert len(grid.cells) == 4 * 16
+    assert set(grid.cells) == {(r, c) for r in range(4) for c in range(16)}
+    assert [grid.cells[(r, 0)] for r in range(4)] == ["data", "routing", "routing", "data"]
     qpe = build_grid(4, with_qpe_ancilla=True)
-    assert qpe.patch_count == 4 * 16 + 1
-    assert qpe.qpe_ancilla is not None and qpe.qpe_ancilla in qpe.cells
+    assert len(qpe.cells) == 4 * 16 + 1
+    assert qpe.qpe_ancilla is not None and qpe.cells[qpe.qpe_ancilla] == "data"
+
+
+def _validate_one(start, op):
+    """Validate a timeline holding only ``op`` at ``start`` on a 2 x 2 grid."""
+    return validate(Timeline([(start, op)]), build_grid(2))
 
 
 def test_op_duration_must_match_catalog():
-    with pytest.raises(ValueError):
-        SurgeryOp("cnot", ((0, 0), (1, 0)), duration=2.5)
+    with pytest.raises(ValueError, match="does not match catalog value 3.0"):
+        _validate_one(0.0, SurgeryOp("cnot", ((0, 0), (1, 0)), duration=2.5))
 
 
 @pytest.mark.parametrize("kind", ["rus_block_zz", "xxyy_block", "cnot"])
 def test_negative_duration_rejected(kind):
     with pytest.raises(ValueError, match="negative"):
-        SurgeryOp(kind, ((0, 0), (1, 0)), duration=-1.5)
+        _validate_one(0.0, SurgeryOp(kind, ((0, 0), (1, 0)), duration=-1.5))
+
+
+@pytest.mark.parametrize(
+    "start, duration", [(0.25, 1.0), (0.0, 1.25)], ids=["start", "duration"]
+)
+def test_off_grid_clock_rejected(start, duration):
+    op = SurgeryOp("xxyy_block", ((0, 0), (1, 0)), duration)
+    with pytest.raises(ValueError, match="is not a multiple of 0.5"):
+        _validate_one(start, op)
 
 
 def test_zero_duration_op_blocks_nothing():

@@ -32,24 +32,32 @@ def test_rotation_group_multiset(n):
 
 
 def test_total_clocks_matches_timeline_horizon():
+    # the batches' fixed clocks plus each rotation group's clocks add up to
+    # the timeline's horizon, in both modes
     flat = lambda m, basis: 6.0
     for n in (2, 4, 5):
-        sched = compile_step(n, t_rus=flat)
-        assert sched.total_clocks == pytest.approx(sched.timeline.horizon)
+        for mode in ("plain", "controlled"):
+            sched = compile_step(n, mode=mode, t_rus=flat)
+            groups = sum(sched.rus_group_multiset().values())
+            assert sched.fixed_clocks + 6.0 * groups == sched.timeline.horizon
 
 
-def test_total_clocks_matches_closed_form():
-    # the compiled value equals the closed form up to half-clock rounding of
-    # each of the 16 rotation batches
+def test_compiled_horizon_matches_closed_form():
+    # at every paper size the compiled step's horizon equals the closed form
+    # up to half-clock rounding of each of the 16 rotation batches; a
+    # controlled step adds exactly CONTROLLED_STEP_CLOCKS
     def quantized(m, basis):
         return round(rough_t_rus(m, basis) * 2) / 2
 
-    for n in (3, 4, 6):
-        sched = compile_step(n)
-        assert sched.total_clocks == pytest.approx(trotter_clocks(n, quantized))
-        assert sched.total_clocks == pytest.approx(
+    for n in range(2, 11):
+        closed = trotter_clocks(n, quantized)
+        plain = compile_step(n).timeline.horizon
+        controlled = compile_step(n, mode="controlled").timeline.horizon
+        assert plain == pytest.approx(closed), n
+        assert controlled - CONTROLLED_STEP_CLOCKS == pytest.approx(closed), n
+        assert plain == pytest.approx(
             trotter_clocks(n, rough_t_rus), abs=16 * 0.25 + 1e-9
-        )
+        ), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

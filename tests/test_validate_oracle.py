@@ -74,7 +74,7 @@ def reference_validate(timeline, grid):
             if rank2 != rank and s2 <= s < e2:
                 busy.update(ranked[rank2][1].participants)
         allowed = set(op.participants) | {
-            c for c, p in grid.cells.items() if p.role == "routing" and c not in busy
+            c for c, role in grid.cells.items() if role == "routing" and c not in busy
         }
         seen = {op.participants[0]}
         stack = [op.participants[0]]
@@ -135,7 +135,7 @@ def adversarial_timelines(draw):
     free routing patches."""
     n = draw(st.sampled_from([2, 3]))
     grid = build_grid(n, with_qpe_ancilla=draw(st.booleans()))
-    v = grid.cols
+    v = n * n
     endpoints = [(r, c) for r in (0, 3) for c in range(v)]
     if grid.qpe_ancilla is not None:
         endpoints.append(grid.qpe_ancilla)
@@ -267,7 +267,7 @@ SELF_CONNECTED = [
 
 def _blocked_merge(kind, parts, grid):
     """The merge at clock 2, with every other routing patch held over [1, 3)."""
-    routing = [c for c, p in grid.cells.items() if p.role == "routing"]
+    routing = [c for c, role in grid.cells.items() if role == "routing"]
     blocker = SurgeryOp("xxyy_block", tuple(c for c in routing if c not in parts), 2.0)
     return Timeline([(2.0, SurgeryOp(kind, parts, CATALOG[kind])), (1.0, blocker)])
 
