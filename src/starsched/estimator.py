@@ -202,8 +202,8 @@ _SCHEMA = {
     "code.p_phys": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
     "code.eps_logerr": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
     "code.d_override": (
-        "an odd integer >= 3 or null",
-        lambda v: v is None or type(v) is int and v >= 3 and v % 2 == 1,
+        "an odd integer >= 3 that a float can hold, or null",
+        lambda v: v is None or type(v) is int and _real(v) and v >= 3 and v % 2 == 1,
     ),
     "qcels.delta": ("a number > 0", lambda v: _real(v) and v > 0),
     "qcels.n_pairs": ("an integer >= 2", lambda v: type(v) is int and v >= 2),

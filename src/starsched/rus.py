@@ -12,6 +12,20 @@ ring of growth is four shifts, ``x >> cols``, ``x << cols``, ``(x &
 not_first_col) >> 1`` and ``(x & not_last_col) << 1``; the column masks stop
 a row's edge from wrapping into the next row.
 
+Regions regrow lazily.  A clock with completions only logs its completed
+pids, and the log is replayed in clock order through
+``update_injection_regions`` once a draw may need a region's exact size.
+An injection draw may, so the log is replayed at the end of any clock after
+which a process awaits an ancilla.  A pre-injection draw is compared first
+with the threshold at the region size last known, and only a draw at or
+above it replays the log and is compared again at the exact size.  The
+known size is a lower bound, since a running process's region only grows,
+and q(k, size) = 1 − (1 − p_k)^(size·a) never falls as size grows, so a draw
+below the bound succeeds at the exact size too.  At the shipped pass rate a
+process awaits only before its first injection and no pre-injection draw
+reaches the bound, so no run regrows; naive mode never logs, and its
+injection draws carry no check.
+
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.
 """
@@ -216,6 +230,19 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     return q
 
 
+def _regrow(pending, free, regions, grid, size, k, meas_left, now, q) -> None:
+    """Replay a run's pending regrowths in clock order, then refresh the
+    sizes, and the injection chances of the awaiting processes, that grew."""
+    for done in pending:
+        for pid in done:
+            free.bits |= regions.pop(pid)
+        for pid in update_injection_regions(free, regions, grid):
+            size[pid] = regions[pid].bit_count()
+            if not meas_left[pid]:
+                now[pid] = q(k[pid], size[pid])
+    pending.clear()
+
+
 def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[int, int, int]:
     """One run of a batch: (completion clock, uniforms read, largest trial index).
 
@@ -232,17 +259,26 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
     rng = np.random.default_rng((seed, run_idx))
     buf = rng.random(block).tolist()
     pos = drawn = 0
-    # A process is ongoing while its pid is a key of regions; it is
-    # measuring while meas_left > 0 and awaiting an ancilla otherwise.
-    # size[pid] counts its region's patches and now[pid] is an awaiting
-    # process's per-clock injection chance.
+    # A process is ongoing while its pid is a key of live; it is measuring
+    # while meas_left > 0 and awaiting an ancilla otherwise, and waiting
+    # counts the awaiting ones.  regions holds the ongoing regions and those
+    # of the completed processes in pending, which lists, per clock with
+    # completions and in clock order, the pids whose regrowth is deferred.
+    # size[pid] counts its region's patches as of the last replay, a lower
+    # bound while pending is non-empty, and now[pid] is an awaiting
+    # process's per-clock injection chance, exact at every draw.
+    live = dict.fromkeys(regions0)
     regions = dict(regions0)
+    pending: list[list[int]] = []
     size = [region.bit_count() for region in regions0.values()]
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
     now = [q(1, n) for n in size]
+    waiting = m
     free = FreeCells(free0)
+    # the hot loop's names stay locals: regrow takes them as arguments
+    state = (pending, free, regions, grid, size, k, meas_left, now, q)
     t = 0
     while True:
         t += 1
@@ -253,10 +289,14 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
             drawn += pos
             pos = 0
         finishing = []
-        for pid in regions:
+        for pid in live:
             if meas_left[pid]:
                 if adaptive and not buffered[pid]:
-                    buffered[pid] = buf[pos] < q(k[pid] + 1, size[pid])
+                    if buf[pos] < q(k[pid] + 1, size[pid]):
+                        buffered[pid] = True
+                    elif pending:
+                        _regrow(*state)
+                        buffered[pid] = buf[pos] < q(k[pid] + 1, size[pid])
                     pos += 1
                 meas_left[pid] -= 1
                 if not meas_left[pid]:
@@ -264,14 +304,16 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
             else:
                 if buf[pos] < now[pid]:
                     meas_left[pid] = meas_clocks
+                    waiting -= 1
                 pos += 1
         if not finishing:
             continue
-        ongoing = len(regions)
+        done = []
         stale = []
         for pid in finishing:
             if buf[pos] < 0.5:
-                free.bits |= regions.pop(pid)
+                del live[pid]
+                done.append(pid)
             else:
                 k[pid] += 1
                 if buffered[pid]:
@@ -280,20 +322,21 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
                 else:
                     stale.append(pid)
             pos += 1
-        if not regions:
+        if not live:
             return t, drawn + pos, max(k)
-        if adaptive and len(regions) < ongoing:
-            grown = update_injection_regions(free, regions, grid)
-            for pid in grown:
-                size[pid] = regions[pid].bit_count()
-            stale += grown
-        # Thresholds of the awaiting processes whose trial or region
-        # changed, evaluated only if a next clock runs to need them.  Only a
-        # changed trial calls success_prob, and those come in pid order.
+        # Thresholds of the awaiting processes whose trial changed, evaluated
+        # only if a next clock runs to need them; these success_prob calls
+        # come in pid order.  An awaiting process draws next clock, so its
+        # region's size must then be exact.
         if t < MAX_RUN_CLOCKS:
             for pid in stale:
-                if not meas_left[pid]:
-                    now[pid] = q(k[pid], size[pid])
+                now[pid] = q(k[pid], size[pid])
+            waiting += len(stale)
+            if adaptive:
+                if done:
+                    pending.append(done)
+                if pending and waiting:
+                    _regrow(*state)
 
 
 def simulate_parallel_rus(
@@ -312,7 +355,9 @@ def simulate_parallel_rus(
     measurement on the next clock.  In adaptive mode processes pre-inject the
     next trial's ancilla during measurement clocks (one buffered state at
     most) and regions regrow over freed patches whenever processes complete;
-    naive mode keeps the fixed initial regions and no pre-injection.
+    naive mode keeps the fixed initial regions and no pre-injection.  The
+    regrowth is deferred until a draw may depend on it (module docstring),
+    which gives the same completions as regrowing at once.
 
     Run i draws from ``np.random.default_rng((seed, i))`` in a fixed order,
     which every seeded output depends on.  Each clock first takes one uniform

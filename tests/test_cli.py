@@ -227,6 +227,7 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
                 {"model": {"u": None}},
                 {"code": {"d_override": 8}},
                 {"code": {"d_override": 1}},
+                {"code": {"d_override": 10**400 + 1}},
                 {"qcels": {"n_pairs": 1.5}},
                 {"qcels": {"n_samples": True}},
             )

@@ -12,9 +12,13 @@ same regions and leave the same free set.
 coordinate sets, growing regions with ``reference_update_injection_regions``:
 one scalar ``rng.random()`` per draw and the per-clock injection chance
 recomputed at every use.  ``simulate_parallel_rus`` holds regions as
-bitmasks, reads the same uniforms from blocks and keeps each awaiting
-process's chance; both must return the same completions, or raise the same
-error, after the same ``success_prob`` calls.
+bitmasks, reads the same uniforms from blocks, keeps each awaiting
+process's chance and regrows regions lazily: the completions' regrowth is
+replayed only once a process awaits an ancilla or a pre-injection draw lands
+at or above the threshold at the region size last known.  A draw below it
+succeeds at any larger size, since q(k, size) never falls as size grows.
+Both must return the same completions, or raise the same error, after the
+same ``success_prob`` calls.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -469,6 +473,46 @@ def test_batch_wider_than_block_matches_reference(mode):
     assert 2 * 150 > rus.RNG_BLOCK
     reference, change = outcomes(150, "ZZ", 1e-8, CFG, mode, 3, 8)
     assert change == reference
+
+
+@given(
+    p_pass=st.one_of(
+        st.floats(0, 1, exclude_min=True), st.floats(2.0**-60, 2.0**-40)
+    ),
+    k=st.sampled_from([3, 5]),
+    attempts=st.integers(1, 3),
+    trial=st.integers(1, 27),  # trial 28 passes the angle cap at θ* = 1e-8
+    size=st.integers(1, 400),
+)
+@settings(max_examples=500, deadline=None)
+def test_injection_chance_never_falls_as_a_region_grows(p_pass, k, attempts, trial, size):
+    # the lower bound behind deferred regrowth: a region only grows
+    q = rus._thresholds(1e-8, InjectionConfig(k=k, p_pass=p_pass, attempts_per_clock=attempts))
+    assert q(trial, size) <= q(trial, size + 1)
+
+
+def regrowth_calls(*args) -> tuple[tuple[int, ...], int]:
+    """Completions of ``simulate_parallel_rus(*args)`` and its regrowth calls."""
+    with mock.patch.object(
+        rus, "update_injection_regions", wraps=update_injection_regions
+    ) as kernel:
+        completions = simulate_parallel_rus(*args).completions
+    return completions, kernel.call_count
+
+
+def test_shipped_pass_rate_never_regrows():
+    # q(k, 2) is 1.0 up to trial 10 here: no process awaits an ancilla after
+    # its first injection, and no pre-injection draw reaches its bound
+    _, calls = regrowth_calls(100, "ZZ", 1e-8, CFG, "adaptive", 20, 0)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+def test_low_pass_rate_replays_regrowth(basis):
+    args = (12, basis, 1e-8, replace(CFG, p_pass=0.02), "adaptive", 20, 4)
+    completions, calls = regrowth_calls(*args)
+    assert calls > 0
+    assert completions == reference_simulate_parallel_rus(*args).completions
 
 
 def reference_calibrate_p_pass(
