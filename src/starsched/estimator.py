@@ -155,14 +155,17 @@ def expected_logical_errors(
     return logical_error_rate(d, p_phys) * n_op
 
 
+MAX_DISTANCE = 51  # the largest code distance the search and d_override may use
+
+
 def choose_distance(
     n: int, clocks_per_circuit: float, p_phys: float, eps_logerr: float = 0.01
 ) -> int:
     """Smallest odd distance keeping the whole circuit's logical error budget."""
-    for d in range(3, 53, 2):
+    for d in range(3, MAX_DISTANCE + 1, 2):
         if expected_logical_errors(n, clocks_per_circuit, d, p_phys) < eps_logerr:
             return d
-    raise InfeasibleModel("no code distance up to 51 meets the error budget")
+    raise InfeasibleModel(f"no code distance up to {MAX_DISTANCE} meets the error budget")
 
 
 def pec_factor(tau: float, p_phys: float, k: int) -> float:
@@ -202,8 +205,8 @@ _SCHEMA = {
     "code.p_phys": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
     "code.eps_logerr": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
     "code.d_override": (
-        "an odd integer >= 3 that a float can hold, or null",
-        lambda v: v is None or type(v) is int and _real(v) and v >= 3 and v % 2 == 1,
+        f"an odd integer in [3, {MAX_DISTANCE}] or null",
+        lambda v: v is None or type(v) is int and 3 <= v <= MAX_DISTANCE and v % 2 == 1,
     ),
     "qcels.delta": ("a number > 0", lambda v: _real(v) and v > 0),
     "qcels.n_pairs": ("an integer >= 2", lambda v: type(v) is int and v >= 2),

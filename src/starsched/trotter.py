@@ -1,29 +1,27 @@
 """Compile one second-order Trotter step into a clock-stamped schedule.
 
-A step runs, in order: onsite ZZ rotations, a patch-move layer separating the
-spin rows, the hopping terms local under ordering A (two vertex-disjoint
-sub-layers), fermionic-swap layers routing to ordering B, the hopping terms
-local under B, and then the mirror image.  The two middle hopping batches are
-merged into one with doubled angle, so the step contains 7 hopping batches,
-2 onsite batches, 2 move layers and 2(n-1) fSWAP layers.
+``step_batches`` is the step's structure: its batches in execution order,
+each with its RUS groups, fixed clocks and the hopping sub-layer or fSWAP
+route layer it uses.  A step runs, in order: onsite ZZ rotations, a
+patch-move layer separating the spin rows, the hopping terms local under
+ordering A (two vertex-disjoint sub-layers A0 and A1), fermionic-swap layers
+routing to ordering B, the hopping terms local under B (B0 and B1), and then
+the mirror image.  The two middle B1 batches are merged into one with
+doubled angle, so the step contains 7 hopping batches, 2 onsite batches,
+2 move layers and 2(n-1) fSWAP layers.  A controlled step adds a
+multi-target CNOT layer at each end and a multi-target CZ layer on the
+hopping side of each move layer.  ``compile_step`` walks the list to build a
+patch timeline; ``trotter_clocks`` sums it without routing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from . import fabric
 from .fabric import SurgeryOp, Timeline, build_grid
-from .hubbard import (
-    HubbardSpec,
-    OrderingPair,
-    build_hamiltonian,
-    default_orderings,
-    route_orderings,
-    sublayers,
-)
+from .hubbard import OrderingPair, default_orderings, route_orderings, sublayers
 from .rus import expected_trials
 
 
@@ -45,6 +43,7 @@ class Batch:
     #            multi_cnot_layer | multi_cz_layer
     rus_groups: tuple[tuple[int, str], ...]  # (count M, basis)
     fixed_clocks: float
+    layer: str | int | None = None  # hopping sub-layer A0..B1 or fSWAP route layer
 
 
 @dataclass
@@ -61,10 +60,34 @@ class TrotterSchedule:
         return sum(b.fixed_clocks for b in self.batches)
 
     def rus_group_multiset(self) -> Counter:
-        out: Counter = Counter()
-        for b in self.batches:
-            out.update(b.rus_groups)
-        return out
+        return Counter(g for b in self.batches for g in b.rus_groups)
+
+
+def step_batches(n: int, mode: str = "plain") -> list[Batch]:
+    """The batches of one step in execution order, without routing.
+
+    The step is a palindrome about B1: the two middle B1 batches of the
+    mirrored halves are merged into one at doubled angle.  fSWAP batch i uses
+    layer i of the route from A to B, whose depth is n - 1 for the default
+    orderings, so the way back applies the layers in reverse.
+    """
+    if mode not in ("plain", "controlled"):
+        raise ValueError(f"mode must be plain or controlled, got {mode!r}")
+    v = n * n
+    groups = ((v - n, "ZZ"), (v - n, "Z"))
+    a0, a1, b0, b1 = (
+        Batch("xxyy_batch", groups, XXYY_FIXED_CLOCKS, layer)
+        for layer in ("A0", "A1", "B0", "B1")
+    )
+    half = [Batch("zz_rotation_layer", ((v, "ZZ"),), 0.0)]
+    half.append(Batch("move_layer", (), MOVE_CLOCKS))
+    if mode == "controlled":
+        half.insert(0, Batch("multi_cnot_layer", (), MULTI_CNOT_CLOCKS))
+        half.append(Batch("multi_cz_layer", (), MULTI_CZ_LAYER_CLOCKS))
+    half += [a0, a1]
+    half += [Batch("fswap_layer", (), FSWAP_CLOCKS, i) for i in range(n - 1)]
+    half.append(b0)
+    return half + [b1] + half[::-1]
 
 
 def rough_t_rus(m: int, basis: str) -> float:
@@ -74,57 +97,20 @@ def rough_t_rus(m: int, basis: str) -> float:
 
 
 def trotter_clocks(n: int, t_rus) -> float:
-    """Clocks of one plain step given a per-batch RUS clock model t_rus(M, basis)."""
-    v = n * n
-    return (
-        7 * t_rus(v - n, "Z")
-        + 7 * t_rus(v - n, "ZZ")
-        + 2 * t_rus(v, "ZZ")
-        + 14 * n
-        + 55
-    )
+    """Clocks of one plain step given a per-batch RUS clock model t_rus(M, basis).
+
+    The RUS clocks are summed per group in sorted (M, basis) order, then the
+    fixed clocks are added.
+    """
+    batches = step_batches(n)
+    groups = sorted(Counter(g for b in batches for g in b.rus_groups).items())
+    rus = sum(count * t_rus(m, basis) for (m, basis), count in groups)
+    return rus + sum(b.fixed_clocks for b in batches)
 
 
 def controlled_circuit_clocks(steps: int, t_step: float) -> float:
     """Clocks of a controlled evolution of ``steps`` plain steps of t_step clocks."""
     return steps * (t_step + CONTROLLED_STEP_CLOCKS) + CONTROLLED_BOUNDARY_CLOCKS
-
-
-def anticommuting_controls(n: int):
-    """Pauli operators anticommuting with the hopping / onsite sub-Hamiltonians.
-
-    K0 applies Z to both spin-orbitals of every odd-parity site (row + col
-    odd); K1 applies X to the spin-down orbital of every site.  Both are
-    verified symbolically against the term set: an operator pair
-    anticommutes iff it disagrees (with non-identity letters) on an odd
-    number of qubits.
-    """
-    v = n * n
-    k0 = tuple(
-        (spin * v + r * n + c, "Z")
-        for spin in (0, 1)
-        for r in range(n)
-        for c in range(n)
-        if (r + c) % 2 == 1
-    )
-    k1 = tuple((v + s, "X") for s in range(v))
-    for term in build_hamiltonian(HubbardSpec(n)):
-        control = k0 if term.kind.startswith("hopping") else k1
-        if not _anticommutes(control, term.support):
-            raise AssertionError(
-                f"control does not anticommute with {term.kind} term {term.support}"
-            )
-    return k0, k1
-
-
-def _anticommutes(a, b) -> bool:
-    letters_a = dict(a)
-    odd = 0
-    for q, letter in b:
-        other = letters_a.get(q)
-        if other is not None and other != letter:
-            odd += 1
-    return odd % 2 == 1
 
 
 def serial_clocks(n: int) -> float:
@@ -143,133 +129,58 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
     quantized values are the durations of the RUS ops, so the step's clock
     count is ``timeline.horizon``.
     """
-    if mode not in ("plain", "controlled"):
-        raise ValueError(f"mode must be plain or controlled, got {mode!r}")
+    batches = step_batches(n, mode)
     pair = default_orderings(n)
     fswaps = route_orderings(pair)
+    assert len(fswaps) == n - 1, "step_batches assumes a route of depth n - 1"
     v = n * n
     model = t_rus or rough_t_rus
-    rus_clocks = {
-        (v, "ZZ"): round(model(v, "ZZ") * 2) / 2,
-        (v - n, "ZZ"): round(model(v - n, "ZZ") * 2) / 2,
-        (v - n, "Z"): round(model(v - n, "Z") * 2) / 2,
-    }
-
-    sub_a = sublayers(pair.edges_a, pair.order_a)
-    sub_b = sublayers(pair.edges_b, pair.order_b)
-
-    batches: list[Batch] = []
-    controlled = mode == "controlled"
-    grid = build_grid(n, with_qpe_ancilla=controlled)
+    groups = dict.fromkeys(g for b in batches for g in b.rus_groups)
+    rus_clocks = {g: round(model(*g) * 2) / 2 for g in groups}
+    hopping = dict(zip(("A0", "A1"), sublayers(pair.edges_a, pair.order_a)))
+    hopping.update(zip(("B0", "B1"), sublayers(pair.edges_b, pair.order_b)))
+    grid = build_grid(n, with_qpe_ancilla=mode == "controlled")
     timeline = Timeline()
-    clock = [0.0]  # running start time, mutated by emitters
+    add = timeline.add
     order = list(pair.order_a)
-
-    def pos_of() -> dict[int, int]:
-        return {s: p for p, s in enumerate(order)}
-
-    def advance(duration: float) -> float:
-        start = clock[0]
-        clock[0] = start + duration
-        return start
-
-    def emit_zz_layer() -> None:
-        dur = rus_clocks[(v, "ZZ")]
-        start = advance(dur)
-        pos = pos_of()
-        for s in range(v):
-            c = pos[s]
-            timeline.add(
-                start,
-                SurgeryOp("rus_block_zz", ((0, c), (1, c), (2, c), (3, c)), dur),
-            )
-        batches.append(Batch("zz_rotation_layer", ((v, "ZZ"),), 0.0))
-
-    def emit_move_layer() -> None:
-        start = advance(MOVE_CLOCKS)
-        for c in range(v):
-            timeline.add(
-                start,
-                SurgeryOp("patch_move_layer", ((1, c), (2, c), (3, c)), MOVE_CLOCKS),
-            )
-        batches.append(Batch("move_layer", (), MOVE_CLOCKS))
-
-    def emit_xxyy(edges) -> None:
-        dur = (
-            XXYY_FIXED_CLOCKS
-            + rus_clocks[(v - n, "ZZ")]
-            + rus_clocks[(v - n, "Z")]
-        )
-        start = advance(dur)
-        pos = pos_of()
-        for a, b in edges:
-            p1, p2 = sorted((pos[a], pos[b]))
-            timeline.add(
-                start,
-                SurgeryOp("xxyy_block", ((0, p1), (0, p2), (1, p1), (1, p2)), dur),
-            )
-            timeline.add(
-                start,
-                SurgeryOp("xxyy_block", ((3, p1), (3, p2), (2, p1), (2, p2)), dur),
-            )
-        batches.append(
-            Batch("xxyy_batch", ((v - n, "ZZ"), (v - n, "Z")), XXYY_FIXED_CLOCKS)
-        )
-
-    def emit_fswap_layer(layer: tuple[int, ...]) -> None:
-        start = advance(FSWAP_CLOCKS)
-        for p in layer:
-            timeline.add(
-                start, SurgeryOp("fswap", ((0, p), (0, p + 1), (1, p)), FSWAP_CLOCKS)
-            )
-            timeline.add(
-                start, SurgeryOp("fswap", ((3, p), (3, p + 1), (2, p)), FSWAP_CLOCKS)
-            )
-        for p in layer:
-            order[p], order[p + 1] = order[p + 1], order[p]
-        batches.append(Batch("fswap_layer", (), FSWAP_CLOCKS))
-
-    def emit_multi_cnot() -> None:
-        # flips spin-down orbitals (row 1 arrangement) controlled on the ancilla
-        start = advance(MULTI_CNOT_CLOCKS)
-        parts = (grid.qpe_ancilla,) + tuple((1, c) for c in range(v)) + tuple(
-            (2, c) for c in range(v)
-        )
-        timeline.add(
-            start, SurgeryOp("multi_target_cnot_reduced", parts, MULTI_CNOT_CLOCKS)
-        )
-        batches.append(Batch("multi_cnot_layer", (), MULTI_CNOT_CLOCKS))
-
-    def emit_multi_cz() -> None:
-        # phases odd-parity sites on both spin rows, one row at a time
-        pos = pos_of()
-        odd_cols = tuple(
-            pos[r * n + c] for r in range(n) for c in range(n) if (r + c) % 2 == 1
-        )
-        dur = fabric.CATALOG["multi_target_cz"]
-        for row, routing in ((0, 1), (3, 2)):
-            start = advance(dur)
-            parts = (
-                (grid.qpe_ancilla,)
-                + tuple((row, c) for c in sorted(odd_cols))
-                + tuple((routing, c) for c in range(v))
-            )
-            timeline.add(start, SurgeryOp("multi_target_cz", parts, dur))
-        batches.append(Batch("multi_cz_layer", (), MULTI_CZ_LAYER_CLOCKS))
-
-    # The step is a palindrome about B1: the two middle B1 batches of the
-    # mirrored halves are merged into one at doubled angle.
-    half = [emit_multi_cnot] if controlled else []
-    half += [emit_zz_layer, emit_move_layer]
-    if controlled:
-        half.append(emit_multi_cz)
-    half += [partial(emit_xxyy, sub_a[0]), partial(emit_xxyy, sub_a[1])]
-    half += [partial(emit_fswap_layer, layer) for layer in fswaps]
-    half.append(partial(emit_xxyy, sub_b[0]))
-    for emit in half + [partial(emit_xxyy, sub_b[1])] + half[::-1]:
-        emit()
-
-    assert tuple(order) == pair.order_a, "step must restore the initial ordering"
+    pos = {s: p for p, s in enumerate(order)}
+    start = 0.0
+    for batch in batches:
+        kind = batch.kind
+        dur = batch.fixed_clocks + sum(rus_clocks[g] for g in batch.rus_groups)
+        if kind == "zz_rotation_layer":
+            for s in range(v):
+                c = pos[s]
+                add(start, SurgeryOp("rus_block_zz", ((0, c), (1, c), (2, c), (3, c)), dur))
+        elif kind == "move_layer":
+            for c in range(v):
+                add(start, SurgeryOp("patch_move_layer", ((1, c), (2, c), (3, c)), dur))
+        elif kind == "xxyy_batch":
+            for a, b in hopping[batch.layer]:
+                p1, p2 = sorted((pos[a], pos[b]))
+                add(start, SurgeryOp("xxyy_block", ((0, p1), (0, p2), (1, p1), (1, p2)), dur))
+                add(start, SurgeryOp("xxyy_block", ((3, p1), (3, p2), (2, p1), (2, p2)), dur))
+        elif kind == "fswap_layer":
+            layer = fswaps[batch.layer]
+            for p in layer:
+                add(start, SurgeryOp("fswap", ((0, p), (0, p + 1), (1, p)), dur))
+                add(start, SurgeryOp("fswap", ((3, p), (3, p + 1), (2, p)), dur))
+            for p in layer:
+                a, b = order[p], order[p + 1]
+                order[p], order[p + 1] = b, a
+                pos[a], pos[b] = p + 1, p
+        elif kind == "multi_cnot_layer":
+            # flips spin-down orbitals (row 1 arrangement) controlled on the ancilla
+            parts = (grid.qpe_ancilla,) + tuple((r, c) for r in (1, 2) for c in range(v))
+            add(start, SurgeryOp("multi_target_cnot_reduced", parts, dur))
+        else:  # multi_cz_layer: phases odd-parity sites, one spin row at a time
+            odd = sorted(pos[s] for s in range(v) if (s // n + s % n) % 2 == 1)
+            cz = fabric.CATALOG["multi_target_cz"]
+            for i, (row, routing) in enumerate(((0, 1), (3, 2))):
+                parts = (grid.qpe_ancilla,) + tuple((row, c) for c in odd)
+                parts += tuple((routing, c) for c in range(v))
+                add(start + i * cz, SurgeryOp("multi_target_cz", parts, cz))
+        start += dur
 
     schedule = TrotterSchedule(n, mode, batches, timeline, pair, fswaps)
     conflict = fabric.validate(timeline, grid)

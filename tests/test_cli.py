@@ -228,6 +228,8 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
                 {"code": {"d_override": 8}},
                 {"code": {"d_override": 1}},
                 {"code": {"d_override": 10**400 + 1}},
+                {"code": {"d_override": 53}},
+                {"code": {"d_override": 10**20 + 1}},
                 {"qcels": {"n_pairs": 1.5}},
                 {"qcels": {"n_samples": True}},
             )
@@ -318,7 +320,7 @@ def test_overflowing_calibrated_norm_is_named(tmp_path, capsys):
         assert name in err
 
 
-@pytest.mark.parametrize("d, code", [(3, 2), (7, 2), (9, 0), (11, 0)])
+@pytest.mark.parametrize("d, code", [(3, 2), (7, 2), (9, 0), (11, 0), (51, 0)])
 def test_d_override_must_meet_logical_error_budget(tmp_path, capsys, d, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"code": {"d_override": d}}))

@@ -5,13 +5,17 @@ from collections import Counter
 
 import pytest
 
+from starsched import trotter
+from starsched.cli import run
+from starsched.estimator import build_report
 from starsched.fabric import validate
+from starsched.hubbard import HubbardSpec, build_hamiltonian
 from starsched.trotter import (
     CONTROLLED_STEP_CLOCKS,
-    anticommuting_controls,
     compile_step,
     rough_t_rus,
     serial_clocks,
+    step_batches,
     trotter_clocks,
 )
 
@@ -43,7 +47,7 @@ def test_total_clocks_matches_timeline_horizon():
 
 
 def test_compiled_horizon_matches_closed_form():
-    # at every paper size the compiled step's horizon equals the closed form
+    # at every paper size the compiled step's horizon equals trotter_clocks
     # up to half-clock rounding of each of the 16 rotation batches; a
     # controlled step adds exactly CONTROLLED_STEP_CLOCKS
     def quantized(m, basis):
@@ -107,6 +111,43 @@ def test_controlled_timeline_validates():
     assert validate(sched.timeline, build_grid(4, with_qpe_ancilla=True)) is None
 
 
+def anticommuting_controls(n: int):
+    """Pauli operators anticommuting with the hopping / onsite sub-Hamiltonians.
+
+    K0 applies Z to both spin-orbitals of every odd-parity site (row + col
+    odd); K1 applies X to the spin-down orbital of every site.  Both are
+    verified symbolically against the term set: an operator pair
+    anticommutes iff it disagrees (with non-identity letters) on an odd
+    number of qubits.
+    """
+    v = n * n
+    k0 = tuple(
+        (spin * v + r * n + c, "Z")
+        for spin in (0, 1)
+        for r in range(n)
+        for c in range(n)
+        if (r + c) % 2 == 1
+    )
+    k1 = tuple((v + s, "X") for s in range(v))
+    for term in build_hamiltonian(HubbardSpec(n)):
+        control = k0 if term.kind.startswith("hopping") else k1
+        if not _anticommutes(control, term.support):
+            raise AssertionError(
+                f"control does not anticommute with {term.kind} term {term.support}"
+            )
+    return k0, k1
+
+
+def _anticommutes(a, b) -> bool:
+    letters_a = dict(a)
+    odd = 0
+    for q, letter in b:
+        other = letters_a.get(q)
+        if other is not None and other != letter:
+            odd += 1
+    return odd % 2 == 1
+
+
 def test_control_paulis_anticommute_with_every_term():
     # anticommuting_controls checks K0/K1 against the term set; the compiled
     # controlled step must apply exactly those controls
@@ -136,6 +177,74 @@ def test_control_paulis_anticommute_with_every_term():
                 assert set(op.participants) == cnot_parts
         assert kinds["multi_target_cz"] == 4
         assert kinds["multi_target_cnot_reduced"] == 2
+
+
+# trotter_clocks(n, rough_t_rus) beyond the compile goldens (which stop at
+# n = 10); compared by repr, so a change in the last bit fails
+STEP_CLOCKS = {
+    11: 469.4085292263927,
+    12: 491.7435106632048,
+    13: 513.389070577636,
+    14: 534.4504981227997,
+    15: 555.0107507930431,
+    16: 575.13619846049,
+    17: 594.8807865194264,
+    18: 614.2890386697513,
+    19: 633.3981628466424,
+    20: 652.2395441492736,
+    21: 670.8398611554435,
+    22: 689.2219657049345,
+    23: 707.4055891512274,
+    24: 725.4079031486569,
+    25: 743.2439569873691,
+    26: 760.9270164878078,
+    27: 778.4688301311212,
+    28: 795.8798441276658,
+    29: 813.1693817048964,
+    30: 830.3457957656378,
+}
+
+COMPARE_SERIAL_CSV = (
+    "n,serial_clocks,parallel_clocks,reduction_pct\n"
+    "4,1856,271.865,85.35\n"
+    "6,4632,340.470,92.65\n"
+    "8,8640,396.658,95.41\n"
+    "10,13880,446.248,96.78\n"
+)
+
+
+def test_step_clocks_and_default_comparison_are_pinned(capsys):
+    assert {n: repr(trotter_clocks(n, rough_t_rus)) for n in STEP_CLOCKS} == {
+        n: repr(clocks) for n, clocks in STEP_CLOCKS.items()
+    }
+    assert run(["compare-serial"]) == 0
+    assert capsys.readouterr().out == COMPARE_SERIAL_CSV
+
+
+def test_step_clocks_need_no_routing(monkeypatch, capsys):
+    # compare-serial and estimate charge trotter_clocks at any n: it sums
+    # the batch list and must neither build nor route the orderings
+    def fail(*args):
+        raise AssertionError("step clocks must not route")
+
+    monkeypatch.setattr(trotter, "default_orderings", fail)
+    monkeypatch.setattr(trotter, "route_orderings", fail)
+    assert repr(trotter_clocks(12, rough_t_rus)) == repr(STEP_CLOCKS[12])
+    assert run(["compare-serial", "--n", "4", "1000"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    build_report(4, calibrate_nmax=3397)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+def test_step_batches_are_the_compiled_palindrome(n, mode):
+    batches = step_batches(n, mode)
+    assert compile_step(n, mode).batches == batches
+    assert [b.kind for b in batches] == [b.kind for b in reversed(batches)]
+    hopping = [b.layer for b in batches if b.kind == "xxyy_batch"]
+    assert hopping == ["A0", "A1", "B0", "B1", "B0", "A1", "A0"]
+    route = [b.layer for b in batches if b.kind == "fswap_layer"]
+    assert route == list(range(n - 1)) + list(reversed(range(n - 1)))
 
 
 def test_serial_baseline_counts():
