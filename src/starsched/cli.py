@@ -117,7 +117,9 @@ def cmd_simulate_rus(args) -> int:
 
 
 def cmd_compile_trotter(args) -> int:
-    schedule = compile_step(args.n, mode=args.mode)
+    # one evaluation per RUS group serves the timeline and formula_clocks
+    t_rus = functools.cache(rough_t_rus)
+    schedule = compile_step(args.n, mode=args.mode, t_rus=t_rus)
     if args.timeline:
         write_atomic(args.timeline, schedule.timeline.to_jsonl())
     groups = sorted(schedule.rus_group_multiset().items())
@@ -127,7 +129,7 @@ def cmd_compile_trotter(args) -> int:
         ],
         "fixed_clocks": schedule.fixed_clocks,
         "L": len(schedule.fswaps),
-        "formula_clocks": trotter_clocks(args.n, rough_t_rus),
+        "formula_clocks": trotter_clocks(args.n, t_rus),
     }
     _emit(args, _json_text(summary))
     return 0

@@ -196,8 +196,9 @@ def benchmark_layout(m: int, basis: str):
 
 
 def _batch(m: int, basis: str):
-    """Region masks, free mask, grid and measurement clocks of an M-process
-    batch: ``benchmark_layout``'s 4 × cols grid as bitmasks."""
+    """Region masks, free mask, grid, measurement clocks and initial region
+    sizes of an M-process batch: ``benchmark_layout``'s 4 × cols grid as
+    bitmasks."""
     targets, regions0, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
 
@@ -208,7 +209,8 @@ def _batch(m: int, basis: str):
     full, first_col = mask(cells), mask((r, 0) for r in range(4))
     grid = (cols, full ^ first_col, full ^ (first_col << (cols - 1)))
     regions = {pid: mask(region) for pid, region in regions0.items()}
-    return regions, full ^ mask(used), grid, 1 if basis == "Z" else 2
+    sizes = tuple(region.bit_count() for region in regions.values())
+    return regions, full ^ mask(used), grid, 1 if basis == "Z" else 2, sizes
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -243,21 +245,25 @@ def _regrow(pending, free, regions, grid, size, k, meas_left, now, q) -> None:
     pending.clear()
 
 
-def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[int, int, int]:
-    """One run of a batch: (completion clock, uniforms read, largest trial index).
+def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
+    """One run of a batch: (completion clock, uniforms read, largest trial
+    index, blocks drawn).
 
-    The uniforms read are the first ones of ``default_rng((seed, run_idx))``.
+    ``first`` lists each process's first-trial chance q(1, size), the same
+    for every run at one pass rate.  The uniforms read are the first ones of
+    ``default_rng((seed, run_idx))``, and of the blocks' concatenation.
     """
     import numpy as np
 
-    regions0, free0, grid, meas_clocks = batch
+    regions0, free0, grid, meas_clocks, size0 = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
     block = max(RNG_BLOCK, 2 * m)
     refill_at = block - 2 * m
     rng = np.random.default_rng((seed, run_idx))
-    buf = rng.random(block).tolist()
+    blocks = [rng.random(block)]
+    buf = blocks[0].tolist()
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
     # while meas_left > 0 and awaiting an ancilla otherwise, and waiting
@@ -270,11 +276,11 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
     live = dict.fromkeys(regions0)
     regions = dict(regions0)
     pending: list[list[int]] = []
-    size = [region.bit_count() for region in regions0.values()]
+    size = list(size0)
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
-    now = [q(1, n) for n in size]
+    now = list(first)
     waiting = m
     free = FreeCells(free0)
     # the hot loop's names stay locals: regrow takes them as arguments
@@ -285,7 +291,8 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
         if t > MAX_RUN_CLOCKS:
             raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
         if pos > refill_at:
-            buf = buf[pos:] + rng.random(pos).tolist()
+            blocks.append(rng.random(pos))
+            buf = buf[pos:] + blocks[-1].tolist()
             drawn += pos
             pos = 0
         finishing = []
@@ -323,7 +330,7 @@ def _simulate_run(batch, q, adaptive: bool, seed: int, run_idx: int) -> tuple[in
                     stale.append(pid)
             pos += 1
         if not live:
-            return t, drawn + pos, max(k)
+            return t, drawn + pos, max(k), blocks
         # Thresholds of the awaiting processes whose trial changed, evaluated
         # only if a next clock runs to need them; these success_prob calls
         # come in pid order.  An awaiting process draws next clock, so its
@@ -372,8 +379,11 @@ def simulate_parallel_rus(
         raise ValueError(f"runs must be at least 1, got {runs}")
     batch = _batch(m, basis)
     q = _thresholds(theta_star, cfg)
+    first = [q(1, n) for n in batch[4]]
     adaptive = mode == "adaptive"
-    completions = tuple(_simulate_run(batch, q, adaptive, seed, i)[0] for i in range(runs))
+    completions = tuple(
+        _simulate_run(batch, q, first, adaptive, seed, i)[0] for i in range(runs)
+    )
     return RusStats(completions, runs, seed)
 
 
@@ -391,17 +401,20 @@ def calibrate_p_pass(
     Bisects on log10(p_pass) over [1e-4, 1]; the naive mean is monotone
     decreasing in the pass rate.  Every step averages the same ``runs``
     seeded naive runs that ``simulate_parallel_rus`` makes, and returns the
-    same mean, but reuses a run's completion clock from an earlier step when
-    no uniform it read lies between the old and the new threshold.
+    same mean, but reuses a run's completion clock from any earlier step
+    when no uniform the run read there lies between that step's threshold
+    and the new one.
 
     That reuse is exact.  With its uniforms fixed, a naive run depends on
     the pass rate only through its comparisons ``u < q(k, l)``: the regions
     never change, so l is the initial region size, k runs up to the run's
-    largest trial index, and the coins are compared with 1/2.  Each run
-    keeps, per k, the largest uniform it read below q(k, l) and the smallest
-    at or above it; if every new threshold lies above the first and at or
-    below the second, every comparison keeps its outcome and the run repeats
-    draw for draw.  Any other run is simulated again.  A reused run has
+    largest trial index, and the coins are compared with 1/2.  Each step
+    that simulates keeps a table of the runs it simulated: their completion
+    clocks and, per k, the largest uniform each read below q(k, l) and the
+    smallest at or above it.  If every new threshold lies above the first
+    and at or below the second, every comparison keeps its outcome and the
+    run repeats draw for draw, whichever step made the record.  A run that
+    no table covers is simulated again, in index order.  A reused run has
     completed before, and the angle and clock caps do not depend on the pass
     rate, so the errors raised are those of a full re-run too.
     """
@@ -415,10 +428,12 @@ def calibrate_p_pass(
         raise ValueError(f"runs must be at least 1, got {runs}")
     base = cfg or SHIPPED_CONFIGS[9]
     batch = _batch(m, basis)
-    size = batch[0][0].bit_count()  # every naive region keeps this initial size
-    # per run: its completion clock and, for k = 1..max k, the uniforms it
-    # read just below and at or above q(k, size)
-    records: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * runs
+    size = batch[4][0]  # every naive region keeps this initial size
+    # one table per step that simulated: its runs' indices and completion
+    # clocks, and per k the uniforms each read just below and at or above
+    # q(k, size) as rows × K arrays; past a run's largest k, -1 and 2 stand
+    # for "no uniform below" and "none at or above"
+    tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def mean_at(log_p: float) -> float:
         q = _thresholds(theta_star, replace(base, p_pass=10.0**log_p))
@@ -426,22 +441,36 @@ def calibrate_p_pass(
         def levels(max_k: int) -> np.ndarray:
             return np.array([q(k, size) for k in range(1, max_k + 1)])
 
-        total = 0
-        for i, record in enumerate(records):
-            if record is not None:
-                clocks, below, above = record
-                now = levels(len(below))
-                if ((below < now) & (now <= above)).all():
-                    total += clocks
-                    continue
-            clocks, drawn, max_k = _simulate_run(batch, q, False, seed, i)
-            u = np.random.default_rng((seed, i)).random(drawn)
+        # q(k, size) once per step, for every k that a table holds
+        level = levels(max((below.shape[1] for _, _, below, _ in tables), default=0))
+        clocks = np.full(runs, -1)
+        for idx, done, below, above in tables:
+            at = level[: below.shape[1]]
+            exact = ((below < at) & (at <= above)).all(axis=1)
+            clocks[idx[exact]] = done[exact]
+        total = int(clocks[clocks >= 0].sum())
+        first = [q(1, n) for n in batch[4]]
+        idx, done, lows, highs = [], [], [], []
+        for i in np.flatnonzero(clocks < 0).tolist():
+            t, drawn, max_k, blocks = _simulate_run(batch, q, first, False, seed, i)
+            if max_k > len(level):
+                level = levels(max_k)
+            u = np.concatenate(blocks)[:drawn]
             u.sort()
-            n_below = np.searchsorted(u, levels(max_k))
-            # -1 and 2 stand for "no uniform below" and "none at or above"
+            n_below = np.searchsorted(u, level[:max_k])
             bounded = np.concatenate(([-1.0], u, [2.0]))
-            records[i] = (clocks, bounded[n_below], bounded[n_below + 1])
-            total += clocks
+            idx.append(i)
+            done.append(t)
+            lows.append(bounded[n_below])
+            highs.append(bounded[n_below + 1])
+            total += t
+        if idx:
+            below = np.full((len(idx), max(map(len, lows))), -1.0)
+            above = np.full_like(below, 2.0)
+            for r, (low, high) in enumerate(zip(lows, highs)):
+                below[r, : len(low)] = low
+                above[r, : len(high)] = high
+            tables.append((np.array(idx), np.array(done), below, above))
         return total / runs
 
     lo, hi = -4.0, 0.0

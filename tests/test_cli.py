@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -62,6 +63,17 @@ def test_compile_trotter_outputs(tmp_path):
     assert summary["L"] == 3
     assert {g["basis"] for g in summary["rus_groups"]} == {"Z", "ZZ"}
     assert all(json.loads(line) for line in timeline.read_text().splitlines())
+
+
+def test_compile_trotter_evaluates_each_rus_group_once(tmp_path):
+    # the timeline and formula_clocks share one rough_t_rus evaluation per
+    # (M, basis) group: (12, Z), (12, ZZ) and (16, ZZ) at n = 4
+    from starsched import trotter
+
+    calls = mock.Mock(wraps=trotter.expected_trials)
+    with mock.patch.object(trotter, "expected_trials", calls):
+        assert run(["compile-trotter", "--n", "4", "--out", str(tmp_path / "s.json")]) == 0
+    assert sorted(c.args for c in calls.call_args_list) == [(12,), (12,), (16,)]
 
 
 def test_compile_trotter_timeline_written_atomically(tmp_path):

@@ -22,10 +22,13 @@ same ``success_prob`` calls.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
-``calibrate_p_pass`` reuses a run whose comparisons cannot change; both must
-return the same rate, or raise the same error, except that the change rejects
-a target no pass rate in [1e-4, 1] reaches where the reference returned a
-bracket end.
+``calibrate_p_pass`` keeps a table of records from every step that simulated
+and reuses a run whose comparisons cannot change at the new threshold,
+whichever step recorded it; it re-simulates the other runs in index order,
+with the uniforms the runner drew.  Both must return the same rate, or raise
+the same error, including the index of the run that hits the clock or angle
+cap, except that the change rejects a target no pass rate in [1e-4, 1]
+reaches where the reference returned a bracket end.
 """
 
 import math
@@ -261,7 +264,7 @@ def test_batch_masks_match_layout(m, basis):
     targets, regions, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
     used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
-    masks, free, grid, meas_clocks = rus._batch(m, basis)
+    masks, free, grid, meas_clocks, _ = rus._batch(m, basis)
     assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
     assert free == to_mask(cells - used, cols)
     assert grid == grid_masks(4, cols)
@@ -500,6 +503,25 @@ def regrowth_calls(*args) -> tuple[tuple[int, ...], int]:
     return completions, kernel.call_count
 
 
+@pytest.mark.parametrize("m", [1, 7, 32, 100])
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
+    # at SHIPPED_CONFIGS[9] an injection clock fails with chance 2.7e-15 at
+    # trial 1 (7.1e-10 at trial 10), so a run's completion clock is fixed by
+    # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive
+    batch = rus._batch(m, basis)
+    q = rus._thresholds(1e-8, CFG)
+    first = [q(1, n) for n in batch[4]]
+    meas = len(basis)
+    mismatches = []
+    for i in range(200):
+        adaptive, _, k, _ = rus._simulate_run(batch, q, first, True, 0, i)
+        naive, _, k_naive, _ = rus._simulate_run(batch, q, first, False, 0, i)
+        if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
+            mismatches.append((i, adaptive, k, naive, k_naive))
+    assert mismatches == []
+
+
 def test_shipped_pass_rate_never_regrows():
     # q(k, 2) is 1.0 up to trial 10 here: no process awaits an ancilla after
     # its first injection, and no pre-injection draw reaches its bound
@@ -595,10 +617,12 @@ def test_calibration_matches_reference(
 
 
 def test_calibration_reuses_runs():
+    # 1,922 runner calls when each step reused only the records of the
+    # step before; reuse from every earlier step needs fewer
     calls = mock.Mock(wraps=rus._simulate_run)
     with mock.patch.object(rus, "_simulate_run", calls):
-        calibrate_p_pass(161.0, m=32, runs=50, seed=0)
-    assert 50 <= calls.call_count < 22 * 50
+        calibrate_p_pass(161.0, m=32, runs=200, seed=0)
+    assert 200 <= calls.call_count < 1922
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
