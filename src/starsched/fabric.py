@@ -115,19 +115,29 @@ class Timeline:
         Each line is what ``json.dumps`` writes for {"start", "kind",
         "participants", "duration"}: a finite float goes through
         ``float.__repr__`` as in ``json.encoder`` (so ``np.float64(3)`` writes
-        ``3.0``), each distinct kind is encoded once, and a coord is ``[r, c]``.
+        ``3.0``) and a coord is ``[r, c]``.  The text after the start is built
+        once per op object and the text before it once per run of ops sharing
+        one start object; both caches key by identity, because equal values
+        can print differently (``3``, ``3.0``; ``0.0``, ``-0.0``).
         """
         kinds: dict[str, str] = {}
+        tails: dict[int, str] = {}  # id(op) -> line text after the start
         lines = []
+        last, head = object(), ""  # no start is that object
         for start, op in self.ops:
-            if op.kind not in kinds:
-                kinds[op.kind] = json.dumps(op.kind)
-            parts = ", ".join([f"[{r}, {c}]" for r, c in op.participants])
-            lines.append(
-                f'{{"start": {_json_number(start)}, "kind": {kinds[op.kind]}, '
-                f'"participants": [{parts}], '
-                f'"duration": {_json_number(op.duration)}}}\n'
-            )
+            if start is not last:
+                last = start
+                head = f'{{"start": {_json_number(start)}, "kind": '
+            tail = tails.get(id(op))
+            if tail is None:
+                if op.kind not in kinds:
+                    kinds[op.kind] = json.dumps(op.kind)
+                parts = ", ".join([f"[{r}, {c}]" for r, c in op.participants])
+                tail = tails[id(op)] = (
+                    f'{kinds[op.kind]}, "participants": [{parts}], '
+                    f'"duration": {_json_number(op.duration)}}}\n'
+                )
+            lines.append(head + tail)
         return "".join(lines)
 
 
@@ -168,9 +178,10 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     search goes on from the cells already reached.
 
     Cost: one sort of the ops and of each patch's intervals, one search over
-    its own patches per distinct participant tuple of a merge, and one pass
-    over the routing patches' intervals per start clock of a merge that is
-    not self-connected.
+    its own patches per distinct participant tuple of a merge (a tuple found
+    self-connected is remembered, so its later merges cost one dict lookup),
+    and one pass over the routing patches' intervals per start clock of a
+    merge that is not self-connected.
     """
     # deterministic op identity independent of insertion order
     ordered = sorted(
@@ -213,22 +224,26 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
                     Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
                 )
     free_at: dict[int, set[Coord]] = {}
-    own_reach: dict[tuple[Coord, ...], set[Coord]] = {}
+    # participant tuple -> cells its first participant reaches through its
+    # own patches, or None once those reach every participant
+    own_reach: dict[tuple[Coord, ...], set[Coord] | None] = {}
     for rank, s in merges:
         start, op = ordered[rank]
         parts = op.participants
         if parts not in own_reach:
-            own_reach[parts] = _reach({parts[0]}, set(parts))
+            seen = _reach({parts[0]}, set(parts))
+            own_reach[parts] = None if seen.issuperset(parts) else seen
         seen = own_reach[parts]
-        if not seen.issuperset(parts):
-            if s not in free_at:
-                free_at[s] = {
-                    c
-                    for c, role in cells.items()
-                    if role == "routing"
-                    and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
-                }
-            seen = _reach(set(seen), free_at[s].union(parts))
+        if seen is None:
+            continue
+        if s not in free_at:
+            free_at[s] = {
+                c
+                for c, role in cells.items()
+                if role == "routing"
+                and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
+            }
+        seen = _reach(set(seen), free_at[s].union(parts))
         for coord in parts:
             if coord not in seen:
                 conflicts.append(

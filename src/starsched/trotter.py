@@ -11,7 +11,8 @@ doubled angle, so the step contains 7 hopping batches, 2 onsite batches,
 2 move layers and 2(n-1) fSWAP layers.  A controlled step adds a
 multi-target CNOT layer at each end and a multi-target CZ layer on the
 hopping side of each move layer.  ``compile_step`` walks the list to build a
-patch timeline; ``trotter_clocks`` sums it without routing.
+patch timeline, emitting a batch's ops once per ordering it meets the batch
+under; ``trotter_clocks`` sums it without routing.
 """
 
 from __future__ import annotations
@@ -140,46 +141,69 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
     hopping = dict(zip(("A0", "A1"), sublayers(pair.edges_a, pair.order_a)))
     hopping.update(zip(("B0", "B1"), sublayers(pair.edges_b, pair.order_b)))
     grid = build_grid(n, with_qpe_ancilla=mode == "controlled")
-    timeline = Timeline()
-    add = timeline.add
     order = list(pair.order_a)
     pos = {s: p for p, s in enumerate(order)}
-    start = 0.0
-    for batch in batches:
+    swap_ops: dict[tuple[int, float], tuple[SurgeryOp, SurgeryOp]] = {}
+
+    def emit(batch: Batch, dur: float) -> tuple[tuple[float, list[SurgeryOp]], ...]:
+        """The batch's ops under the current ordering, as (offset from the
+        batch's start, ops at that offset) groups."""
         kind = batch.kind
-        dur = batch.fixed_clocks + sum(rus_clocks[g] for g in batch.rus_groups)
+        ops = []
         if kind == "zz_rotation_layer":
             for s in range(v):
                 c = pos[s]
-                add(start, SurgeryOp("rus_block_zz", ((0, c), (1, c), (2, c), (3, c)), dur))
+                ops.append(SurgeryOp("rus_block_zz", ((0, c), (1, c), (2, c), (3, c)), dur))
         elif kind == "move_layer":
             for c in range(v):
-                add(start, SurgeryOp("patch_move_layer", ((1, c), (2, c), (3, c)), dur))
+                ops.append(SurgeryOp("patch_move_layer", ((1, c), (2, c), (3, c)), dur))
         elif kind == "xxyy_batch":
             for a, b in hopping[batch.layer]:
                 p1, p2 = sorted((pos[a], pos[b]))
-                add(start, SurgeryOp("xxyy_block", ((0, p1), (0, p2), (1, p1), (1, p2)), dur))
-                add(start, SurgeryOp("xxyy_block", ((3, p1), (3, p2), (2, p1), (2, p2)), dur))
+                ops.append(SurgeryOp("xxyy_block", ((0, p1), (0, p2), (1, p1), (1, p2)), dur))
+                ops.append(SurgeryOp("xxyy_block", ((3, p1), (3, p2), (2, p1), (2, p2)), dur))
         elif kind == "fswap_layer":
-            layer = fswaps[batch.layer]
-            for p in layer:
-                add(start, SurgeryOp("fswap", ((0, p), (0, p + 1), (1, p)), dur))
-                add(start, SurgeryOp("fswap", ((3, p), (3, p + 1), (2, p)), dur))
-            for p in layer:
-                a, b = order[p], order[p + 1]
-                order[p], order[p + 1] = b, a
-                pos[a], pos[b] = p + 1, p
+            # route layers swap at overlapping positions: share those ops too
+            for p in fswaps[batch.layer]:
+                if (p, dur) not in swap_ops:
+                    swap_ops[p, dur] = (
+                        SurgeryOp("fswap", ((0, p), (0, p + 1), (1, p)), dur),
+                        SurgeryOp("fswap", ((3, p), (3, p + 1), (2, p)), dur),
+                    )
+                ops += swap_ops[p, dur]
         elif kind == "multi_cnot_layer":
             # flips spin-down orbitals (row 1 arrangement) controlled on the ancilla
             parts = (grid.qpe_ancilla,) + tuple((r, c) for r in (1, 2) for c in range(v))
-            add(start, SurgeryOp("multi_target_cnot_reduced", parts, dur))
+            ops.append(SurgeryOp("multi_target_cnot_reduced", parts, dur))
         else:  # multi_cz_layer: phases odd-parity sites, one spin row at a time
             odd = sorted(pos[s] for s in range(v) if (s // n + s % n) % 2 == 1)
             cz = fabric.CATALOG["multi_target_cz"]
-            for i, (row, routing) in enumerate(((0, 1), (3, 2))):
+            for row, routing in ((0, 1), (3, 2)):
                 parts = (grid.qpe_ancilla,) + tuple((row, c) for c in odd)
                 parts += tuple((routing, c) for c in range(v))
-                add(start + i * cz, SurgeryOp("multi_target_cz", parts, cz))
+                ops.append(SurgeryOp("multi_target_cz", parts, cz))
+            return ((0.0, ops[:1]), (cz, ops[1:]))
+        return ((0.0, ops),)
+
+    # A batch's ops depend only on the batch and the ordering, so a batch met
+    # again under the same ordering (every mirrored batch of the palindrome
+    # but the fSWAP layers) re-adds the ops it emitted the first time.
+    memo: dict[tuple[Batch, tuple[int, ...]], tuple] = {}
+    timeline = Timeline()
+    start = 0.0
+    for batch in batches:
+        dur = batch.fixed_clocks + sum(rus_clocks[g] for g in batch.rus_groups)
+        key = (batch, tuple(order))
+        if key not in memo:
+            memo[key] = emit(batch, dur)
+        for offset, ops in memo[key]:
+            at = start + offset
+            timeline.ops += [(at, op) for op in ops]
+        if batch.kind == "fswap_layer":
+            for p in fswaps[batch.layer]:
+                a, b = order[p], order[p + 1]
+                order[p], order[p + 1] = b, a
+                pos[a], pos[b] = p + 1, p
         start += dur
 
     schedule = TrotterSchedule(n, mode, batches, timeline, pair, fswaps)

@@ -184,8 +184,12 @@ def _clock(halves, as_type):
     return as_type(halves / 2)
 
 
-CLOCKS = st.builds(
-    _clock, st.integers(0, 400), st.sampled_from([int, float, np.float64])
+# equal values that json.dumps writes differently: a line cache keyed by
+# value would merge them
+LOOK_ALIKES = (3, 3.0, np.float64(3), 0.0, -0.0, np.float64(-0.0), 1, True)
+CLOCKS = st.one_of(
+    st.builds(_clock, st.integers(0, 400), st.sampled_from([int, float, np.float64])),
+    st.sampled_from(LOOK_ALIKES),
 )
 COORDS = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
 
@@ -198,10 +202,50 @@ def any_op(draw):
     return draw(CLOCKS), SurgeryOp(kind, parts, duration)
 
 
-@given(st.lists(any_op(), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_jsonl_matches_reference_on_any_ops(ops):
+@st.composite
+def any_timeline(draw):
+    """Ops from ``any_op``, then, as ``compile_step`` reuses them, some of
+    those op objects again at other starts, some start objects again for
+    other ops, and look-alike twins (an equal op of another duration type)."""
+    ops = draw(st.lists(any_op(), max_size=8))
     tl = Timeline()
     for start, op in ops:
         tl.add(start, op)
+    if not ops:
+        return tl
+    index = st.integers(0, len(ops) - 1)
+    for _ in range(draw(st.integers(0, 8))):
+        op = ops[draw(index)][1]
+        how = draw(st.sampled_from(["same op", "same start", "twin"]))
+        if how == "same op":
+            tl.add(draw(CLOCKS), op)
+        elif how == "same start":
+            tl.add(ops[draw(index)][0], op)
+        else:
+            tl.add(draw(CLOCKS), SurgeryOp(op.kind, op.participants, draw(CLOCKS)))
+    return tl
+
+
+@given(any_timeline())
+@settings(max_examples=200, deadline=None)
+def test_jsonl_matches_reference_on_any_ops(tl):
     assert tl.to_jsonl() == reference_jsonl(tl)
+
+
+def test_jsonl_writes_look_alike_numbers_as_given():
+    # one op object at every look-alike start, each start object used twice
+    # in a row, and equal ops whose durations print differently
+    op = SurgeryOp("xxyy_block", ((0, 0), (1, 0)), 3)
+    tl = Timeline()
+    for start in LOOK_ALIKES:
+        tl.add(start, op)
+        tl.add(start, op)
+    for duration in LOOK_ALIKES:
+        tl.add(0.0, SurgeryOp("xxyy_block", ((0, 0), (1, 0)), duration))
+    text = tl.to_jsonl()
+    assert text == reference_jsonl(tl)
+    starts = [line.split(",")[0] for line in text.splitlines()[: 2 * len(LOOK_ALIKES) : 2]]
+    assert starts == [
+        '{"start": 3', '{"start": 3.0', '{"start": 3.0', '{"start": 0.0',
+        '{"start": -0.0', '{"start": -0.0', '{"start": 1', '{"start": true',
+    ]

@@ -31,9 +31,12 @@ cap, except that the change rejects a target no pass rate in [1e-4, 1]
 reaches where the reference returned a bracket end.
 """
 
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -527,6 +530,68 @@ def test_shipped_pass_rate_never_regrows():
     # its first injection, and no pre-injection draw reaches its bound
     _, calls = regrowth_calls(100, "ZZ", 1e-8, CFG, "adaptive", 20, 0)
     assert calls == 0
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+def golden_adaptive_trials():
+    """{(M, basis): {largest trial index j: runs}} read from the rus-adaptive
+    golden histograms, each clock 1 + meas·j checked to have that form."""
+    items = json.loads((GOLDEN / "rus-adaptive.json").read_text())["items"]
+    hists = {}
+    for item, files in items.items():
+        _, m, basis = item.split("-")
+        meas = len(basis)
+        counts = {}
+        for line in files["hist"].splitlines()[1:]:
+            clock, count = map(int, line.split(","))
+            j, rest = divmod(clock - 1, meas)
+            assert rest == 0 and j >= 1, (item, clock)
+            counts[j] = count
+        hists[int(m[1:]), basis] = counts
+    return hists
+
+
+def chi2_against_finish_law(counts: dict[int, int], m: int) -> tuple[float, int]:
+    """Pearson χ² and degrees of freedom of trial counts against
+    ``prob_finish_at(j, m)``, the largest bin taking the tail past it and
+    adjacent bins merged until each expects at least 5 runs."""
+    runs, top = sum(counts.values()), max(counts)
+    expected = [runs * prob_finish_at(j, m) for j in range(1, top)]
+    expected.append(runs - sum(expected))
+    bins = []
+    observed = want = 0.0
+    for j, e in enumerate(expected, start=1):
+        observed += counts.get(j, 0)
+        want += e
+        if want >= 5:
+            bins.append([observed, want])
+            observed = want = 0.0
+    bins[-1][0] += observed
+    bins[-1][1] += want
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def test_adaptive_goldens_follow_the_finish_law():
+    # at the shipped pass rate an adaptive run ends at clock 1 + meas·K, K
+    # its largest trial index, so each golden histogram of 100 runs samples
+    # the law of the slowest of M geometric(1/2) processes.  At one seed the
+    # Z and ZZ batches of one M read the same coins, so each such pair is one
+    # sample and counts once in the pooled χ².
+    pooled = {}
+    for (m, basis), counts in sorted(golden_adaptive_trials().items()):
+        if m in pooled:
+            assert pooled[m] == counts, m
+        pooled[m] = counts
+    assert sorted(pooled) == [12, 16, 30, 36, 56, 64, 90, 100]
+    fits = [chi2_against_finish_law(counts, m) for m, counts in pooled.items()]
+    chi2, dof = map(sum, zip(*fits))
+    # the 0.999 quantile of χ²(dof), Wilson–Hilferty
+    z = NormalDist().inv_cdf(0.999)
+    critical = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+    assert dof >= 30
+    assert chi2 < critical, (chi2, dof, critical)
 
 
 @pytest.mark.parametrize("basis", ["Z", "ZZ"])

@@ -1,7 +1,9 @@
 """Trotter-step compilation: batch structure, clock accounting, timeline."""
 
 import math
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -9,7 +11,7 @@ from starsched import trotter
 from starsched.cli import run
 from starsched.estimator import build_report
 from starsched.fabric import validate
-from starsched.hubbard import HubbardSpec, build_hamiltonian
+from starsched.hubbard import HubbardSpec, build_hamiltonian, sublayers
 from starsched.trotter import (
     CONTROLLED_STEP_CLOCKS,
     compile_step,
@@ -245,6 +247,79 @@ def test_step_batches_are_the_compiled_palindrome(n, mode):
     assert hopping == ["A0", "A1", "B0", "B1", "B0", "A1", "A0"]
     route = [b.layer for b in batches if b.kind == "fswap_layer"]
     assert route == list(range(n - 1)) + list(reversed(range(n - 1)))
+
+
+def batch_ops(sched):
+    """Per batch of ``sched.batches``, its ops as (offset from the batch's
+    start, kind, participants, duration) in timeline order, each op assigned
+    by its start clock under the default RUS clock model."""
+    quantized = {
+        g: round(rough_t_rus(*g) * 2) / 2 for b in sched.batches for g in b.rus_groups
+    }
+    ends = list(
+        accumulate(
+            b.fixed_clocks + sum(quantized[g] for g in b.rus_groups)
+            for b in sched.batches
+        )
+    )
+    starts = [0.0] + ends[:-1]
+    per_batch = [[] for _ in sched.batches]
+    for start, op in sched.timeline.ops:
+        i = bisect_right(ends, start)
+        per_batch[i].append((start - starts[i], op.kind, op.participants, op.duration))
+    return per_batch
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+def test_mirrored_batches_emit_the_same_ops(n, mode):
+    # past the goldens (n <= 10): compile_step re-adds a batch's ops when it
+    # meets the batch again under the same ordering, and validates the step
+    # itself (it raises on a conflict); the step is a palindrome, so each
+    # batch and its mirror must carry the same op sequence
+    sched = compile_step(n, mode)
+    per_batch = batch_ops(sched)
+    assert all(per_batch)
+    assert sum(map(len, per_batch)) == len(sched.timeline.ops)
+    for i, ops in enumerate(per_batch):
+        assert ops == per_batch[-1 - i], (i, sched.batches[i])
+
+
+@pytest.mark.parametrize("shape", ["step", "half twice"])
+def test_batches_follow_the_ordering_in_force(monkeypatch, shape):
+    # each ZZ, hopping and CZ op sits at the columns of its sites under the
+    # ordering reached by the fSWAP layers before it, replayed here from the
+    # route; "half twice" is no palindrome, so its second half runs under
+    # other orderings than its first and a memo keyed without the ordering
+    # would re-add ops from the wrong one
+    n, mode = 5, "controlled"
+    v = n * n
+    if shape == "half twice":
+        batches = step_batches(n, mode)
+        half = batches[: len(batches) // 2]
+        monkeypatch.setattr(trotter, "step_batches", lambda n, mode: half + half)
+    sched = compile_step(n, mode)
+    pair = sched.pair
+    hopping = dict(zip(("A0", "A1"), sublayers(pair.edges_a, pair.order_a)))
+    hopping.update(zip(("B0", "B1"), sublayers(pair.edges_b, pair.order_b)))
+    order = list(pair.order_a)
+    seen_orders = set()
+    for batch, ops in zip(sched.batches, batch_ops(sched)):
+        pos = {s: p for p, s in enumerate(order)}
+        seen_orders.add(tuple(order))
+        cols = [sorted({c for r, c in parts if r == 0}) for _, _, parts, _ in ops]
+        if batch.kind == "zz_rotation_layer":
+            assert cols == [[pos[s]] for s in range(v)]
+        elif batch.kind == "xxyy_batch":
+            edges = [sorted((pos[a], pos[b])) for a, b in hopping[batch.layer]]
+            assert cols[::2] == edges
+        elif batch.kind == "multi_cz_layer":
+            odd = sorted(pos[s] for s in range(v) if (s // n + s % n) % 2 == 1)
+            assert cols[0] == odd
+        elif batch.kind == "fswap_layer":
+            for p in sched.fswaps[batch.layer]:
+                order[p], order[p + 1] = order[p + 1], order[p]
+    assert len(seen_orders) == (n if shape == "step" else 2 * n - 1)
 
 
 def test_serial_baseline_counts():
