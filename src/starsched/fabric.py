@@ -4,7 +4,10 @@ Time is measured in lattice-surgery clocks (1 clock = d code cycles).  All
 starts and durations are multiples of 0.5 clocks.  A ``Timeline`` stores them
 as given; ``validate`` is the one place that checks them (granularity, a
 non-negative duration, the catalog value of a catalog kind) and converts them
-to integer half-clocks, so its interval comparisons are exact.
+to integer half-clocks, so its interval comparisons are exact.  It shows a
+valid timeline valid with one sweep over groups of ops sharing a start, the
+patches held as bits of an int; only a timeline the sweep finds fault with
+goes on to the ranked pass, which names the earliest conflict.
 """
 
 from __future__ import annotations
@@ -115,10 +118,11 @@ class Timeline:
         Each line is what ``json.dumps`` writes for {"start", "kind",
         "participants", "duration"}: a finite float goes through
         ``float.__repr__`` as in ``json.encoder`` (so ``np.float64(3)`` writes
-        ``3.0``) and a coord is ``[r, c]``.  The text after the start is built
-        once per op object and the text before it once per run of ops sharing
-        one start object; both caches key by identity, because equal values
-        can print differently (``3``, ``3.0``; ``0.0``, ``-0.0``).
+        ``3.0``) and a coord is ``[r, c]`` (``[true, 0]`` for a bool).  The
+        text after the start is built once per op object and the text before
+        it once per run of ops sharing one start object; both caches key by
+        identity, because equal values can print differently (``3``, ``3.0``;
+        ``0.0``, ``-0.0``).
         """
         kinds: dict[str, str] = {}
         tails: dict[int, str] = {}  # id(op) -> line text after the start
@@ -132,7 +136,11 @@ class Timeline:
             if tail is None:
                 if op.kind not in kinds:
                     kinds[op.kind] = json.dumps(op.kind)
-                parts = ", ".join([f"[{r}, {c}]" for r, c in op.participants])
+                parts = ", ".join([
+                    json.dumps([r, c]) if type(r) is bool or type(c) is bool
+                    else f"[{r}, {c}]"
+                    for r, c in op.participants
+                ])
                 tail = tails[id(op)] = (
                     f'{kinds[op.kind]}, "participants": [{parts}], '
                     f'"duration": {_json_number(op.duration)}}}\n'
@@ -160,47 +168,170 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     First each op's timing: a start or duration that is not a multiple of 0.5
     clocks, a negative duration, or a catalog kind whose duration differs
     from ``CATALOG`` raises ValueError.  Each distinct start and each distinct
-    (kind, duration) is checked once per call.
+    (kind, duration) is checked once per call.  Then it rejects out-of-bounds
+    coords, two ops claiming the same patch over overlapping clock intervals,
+    and merge-type ops whose participants are not connected through their own
+    patches plus the routing patches free at the start clock (held by no op
+    over [s, e) with s <= t < e).  The verdict does not depend on op-list
+    order: the earliest conflict (by clock, then coord) is returned, with op
+    indices ranked by (start, kind, participants).
 
-    Then it rejects out-of-bounds coords, two ops claiming the same patch over
-    overlapping clock intervals, and merge-type ops whose participants are
-    not connected through their own patches plus free routing patches at the
-    start clock.  The verdict does not depend on op-list order: candidate
-    conflicts are collected and the earliest (by clock, then coord) returned.
+    A bitmask sweep (``_sweep``) first tries to show the timeline valid.
+    Anything it finds, and any op or grid it does not model, sends the whole
+    timeline to the ranked pass ``_ranked``, which names the conflict or
+    raises what the first op in ranked order raises; so only valid timelines
+    skip it, and both passes give the same verdict.
 
-    A routing patch is free at clock t when no op holds it over [s, e) with
-    s <= t < e.  Free patches only add cells to a merge's search from its
-    first participant, so a merge whose participants are connected through
-    its own patches alone passes without looking at busy state.  The merges
-    left over (in a compiled controlled step, the two multi-target CZs on
-    row 3, whose ancilla touches row 1) get the free routing set at their
-    start clock from the per-patch intervals of the overlap check, and their
-    search goes on from the cells already reached.
-
-    Cost: one sort of the ops and of each patch's intervals, one search over
-    its own patches per distinct participant tuple of a merge (a tuple found
-    self-connected is remembered, so its later merges cost one dict lookup),
-    and one pass over the routing patches' intervals per start clock of a
-    merge that is not self-connected.
+    Cost: on a valid timeline, a few big-int operations per op and, per
+    distinct op object, one mask and for a merge one flood fill over its own
+    patches; one flood fill per merge its own patches do not join (in a
+    compiled controlled step, the two multi-target CZs on row 3, whose ancilla
+    touches row 1).  No sort when the ops come in start order.
     """
-    # deterministic op identity independent of insertion order
+    try:
+        if _sweep(timeline.ops, grid):
+            return None
+    except Exception:  # the ranked pass raises what the first op in its order raises
+        pass
+    return _ranked(timeline, grid)
+
+
+def _length(kind: str, duration: float) -> int:
+    """An op's duration in half-clocks, checked against the catalog."""
+    if duration < 0:
+        raise ValueError(f"{kind} duration {duration} is negative")
+    if kind in CATALOG and duration != CATALOG[kind]:
+        raise ValueError(
+            f"{kind} duration {duration} does not match catalog value {CATALOG[kind]}"
+        )
+    return to_half(duration)
+
+
+def _sweep(ops: list[tuple[float, SurgeryOp]], grid: PatchGrid) -> bool:
+    """True if the ops are valid on ``grid``; False if any may conflict.
+
+    Cell (r, c) is bit r·cols + c of an int over the grid's bounding box, and
+    a flood fill grows by four shifts, as the injection regions of ``rus``.
+    Ops are walked in groups sharing a start half-clock, in clock order, with
+    the cells earlier groups still hold kept per end clock.  A positive-length
+    op must miss those cells and every other positive-length op of its group;
+    a zero-length op only those cells, since it overlaps only an op it starts
+    strictly inside.  A merge its own patches do not join is flood-filled
+    through them and the routing cells its group's clock leaves free.
+    """
+    cells = grid.cells
+    r0, c0 = min(r for r, _ in cells), min(c for _, c in cells)
+    cols = max(c for _, c in cells) - c0 + 1
+    rows = max(r for r, _ in cells) - r0 + 1
+    first_col = sum(1 << (r * cols) for r in range(rows))
+    box = (first_col << cols) - first_col  # every bit of the bounding box
+    not_first, not_last = box ^ first_col, box ^ (first_col << (cols - 1))
+    bit: dict[Coord, int] = {}
+    routing = 0
+    for coord, role in cells.items():
+        b = bit[coord] = 1 << ((coord[0] - r0) * cols + coord[1] - c0)
+        if role == "routing":
+            routing |= b
+
+    def flood(reach: int, allowed: int) -> int:
+        while True:
+            ring = (reach >> cols) | (reach << cols)
+            ring |= ((reach & not_first) >> 1) | ((reach & not_last) << 1)
+            more = reach | (ring & allowed)
+            if more == reach:
+                return reach
+            reach = more
+
+    half = lru_cache(maxsize=None)(to_half)
+    length = lru_cache(maxsize=None)(_length)
+    info: dict[int, tuple[int, int, int, int]] = {}  # id(op) -> describe(op)
+
+    def describe(op: SurgeryOp) -> tuple[int, int, int, int] | None:
+        """Mask, length, cells counted (none for a zero-length op) and, for a
+        merge its own patches do not join, its first participant's bit;
+        None for an op left to the ranked pass."""
+        parts = op.participants
+        if not (isinstance(op.kind, str) and isinstance(parts, tuple)):
+            return None  # the ranked sort may fail to order it
+        mask = 0
+        for coord in parts:
+            b = bit.get(coord)
+            if b is None:
+                return None  # out of bounds
+            mask |= b
+        n = length(op.kind, op.duration)
+        seed = 0
+        if op.kind in _MERGE_KINDS and len(parts) >= 2:
+            first = bit[parts[0]]
+            if flood(first, mask) != mask:
+                seed = first
+        return mask, n, len(parts) if n else 0, seed
+
+    def walk(ops: list[tuple[float, SurgeryOp]]) -> bool | None:
+        """The verdict on start-ordered ops; None if they are out of order."""
+        held: dict[int, int] = {}  # end half-clock -> cells held until then
+        group: dict[int, int] = {}  # length -> cells of the group's ops
+        searches: list[tuple[int, int]] = []  # (seed, mask) of the group's merges
+        at, busy, count = float("-inf"), 0, 0  # group clock, held cells, cells counted
+
+        def close() -> bool:
+            """Check the group at clock ``at``, then hold its cells."""
+            zero, cells = group.pop(0, 0), 0
+            for n, mask in group.items():
+                cells |= mask
+                held[at + n] = held.get(at + n, 0) | mask
+            # a cell counted twice is held twice (also by one op listing it twice)
+            if (zero | cells) & busy or cells.bit_count() != count:
+                return False
+            free = routing & ~(busy | cells)
+            return all(flood(seed, m | free) & m == m for seed, m in searches)
+
+        last = object()  # no start is that object
+        for start, op in ops:
+            if start is not last:
+                last = start
+                s = half(start)
+                if s != at:
+                    if s < at:
+                        return None
+                    if not close():
+                        return False
+                    group.clear()
+                    searches.clear()
+                    at, busy, count = s, 0, 0
+                    for e in list(held):
+                        if e <= s:
+                            del held[e]
+                        else:
+                            busy |= held[e]
+            d = info.get(id(op))
+            if d is None:
+                d = describe(op)
+                if d is None:
+                    return False
+                info[id(op)] = d
+            mask, n, size, seed = d
+            group[n] = group.get(n, 0) | mask
+            count += size
+            if seed:
+                searches.append((seed, mask))
+        return close()
+
+    verdict = walk(ops)
+    if verdict is None:
+        verdict = walk(sorted(ops, key=lambda so: half(so[0])))
+    return verdict
+
+
+def _ranked(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
+    """``validate``'s full check: every candidate conflict, the earliest
+    returned.  Op indices rank the ops by (start, kind, participants)."""
     ordered = sorted(
         timeline.ops, key=lambda so: (so[0], so[1].kind, so[1].participants)
     )
     cells = grid.cells
     half = lru_cache(maxsize=None)(to_half)
-
-    @lru_cache(maxsize=None)
-    def length(kind: str, duration: float) -> int:
-        if duration < 0:
-            raise ValueError(f"{kind} duration {duration} is negative")
-        if kind in CATALOG and duration != CATALOG[kind]:
-            raise ValueError(
-                f"{kind} duration {duration} does not match "
-                f"catalog value {CATALOG[kind]}"
-            )
-        return to_half(duration)
-
+    length = lru_cache(maxsize=None)(_length)
     conflicts: list[Conflict] = []
     intervals: dict[Coord, list[tuple[int, int, int]]] = defaultdict(list)
     merges = []  # (rank, start half-clock) of in-bounds merge ops
@@ -223,27 +354,19 @@ def validate(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
                 conflicts.append(
                     Conflict(s2 / 2, coord, tuple(sorted((r1, r2))), "patch overlap")
                 )
-    free_at: dict[int, set[Coord]] = {}
-    # participant tuple -> cells its first participant reaches through its
-    # own patches, or None once those reach every participant
-    own_reach: dict[tuple[Coord, ...], set[Coord] | None] = {}
     for rank, s in merges:
         start, op = ordered[rank]
         parts = op.participants
-        if parts not in own_reach:
-            seen = _reach({parts[0]}, set(parts))
-            own_reach[parts] = None if seen.issuperset(parts) else seen
-        seen = own_reach[parts]
-        if seen is None:
+        seen = _reach({parts[0]}, set(parts))
+        if seen.issuperset(parts):
             continue
-        if s not in free_at:
-            free_at[s] = {
-                c
-                for c, role in cells.items()
-                if role == "routing"
-                and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
-            }
-        seen = _reach(set(seen), free_at[s].union(parts))
+        free = {
+            c
+            for c, role in cells.items()
+            if role == "routing"
+            and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
+        }
+        seen = _reach(seen, free.union(parts))
         for coord in parts:
             if coord not in seen:
                 conflicts.append(

@@ -78,6 +78,46 @@ def test_off_grid_clock_rejected(start, duration):
         _validate_one(start, op)
 
 
+# Two timing errors, inserted against canonical (start, kind, participants)
+# order: the op first in canonical order names the error.
+OFF_GRID = SurgeryOp("xxyy_block", ((0, 0), (1, 0)), 1.0)
+MISMATCHED = SurgeryOp("cnot", ((0, 1), (1, 1)), 2.5)
+PRECEDENCE = [
+    (
+        [(0.25, OFF_GRID), (0.0, MISMATCHED)],
+        "cnot duration 2.5 does not match catalog value 3.0",
+    ),
+    (
+        [(1.0, MISMATCHED), (0.25, OFF_GRID)],
+        "clock value 0.25 is not a multiple of 0.5",
+    ),
+    (
+        [(1.0, SurgeryOp("cnot", ((0, 1), (1, 1)), 3.0)), (float("nan"), OFF_GRID)],
+        "cannot convert float NaN to integer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ops, message", PRECEDENCE, ids=["mismatch-first", "off-grid-first", "nan-start"]
+)
+def test_timing_error_precedence(ops, message):
+    with pytest.raises(ValueError) as excinfo:
+        validate(Timeline(ops), build_grid(2))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "odd", [SurgeryOp(None, ((0, 0),), 1.0), SurgeryOp("cnot", [(0, 0), (1, 0)], 3.0)]
+)
+def test_ops_the_ranked_order_cannot_sort_raise(odd):
+    # otherwise valid, but ranking them compares a str kind with None or a
+    # tuple of participants with a list
+    ops = [(0.0, SurgeryOp("cnot", ((0, 1), (1, 1)), 3.0)), (0.0, odd)]
+    with pytest.raises(TypeError, match="not supported between instances"):
+        validate(Timeline(ops), build_grid(2))
+
+
 def test_zero_duration_op_blocks_nothing():
     grid = build_grid(2)
     tl = Timeline()
@@ -191,7 +231,8 @@ CLOCKS = st.one_of(
     st.builds(_clock, st.integers(0, 400), st.sampled_from([int, float, np.float64])),
     st.sampled_from(LOOK_ALIKES),
 )
-COORDS = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+COORD = st.one_of(st.integers(-(10**6), 10**6), st.booleans())
+COORDS = st.tuples(COORD, COORD)
 
 
 @st.composite
@@ -229,6 +270,12 @@ def any_timeline(draw):
 @given(any_timeline())
 @settings(max_examples=200, deadline=None)
 def test_jsonl_matches_reference_on_any_ops(tl):
+    assert tl.to_jsonl() == reference_jsonl(tl)
+
+
+def test_jsonl_writes_bool_coords_as_json():
+    tl = Timeline([(0.0, SurgeryOp("x", ((True, 0), (1, False)), 1.0))])
+    assert '"participants": [[true, 0], [1, false]]' in tl.to_jsonl()
     assert tl.to_jsonl() == reference_jsonl(tl)
 
 

@@ -2,17 +2,20 @@
 
 ``reference_validate`` is the original implementation: for every merge op it
 rescans all ops to collect the patches busy at the op's start clock, and it
-searches the whole grid for a path.  ``validate``, which skips the routing
-search for merges joined through their own patches, must return the same
-Conflict (or None) on every timeline.
+searches the whole grid for a path.  ``validate`` must return the same
+Conflict (or None) on every timeline, and its bitmask sweep must prove every
+valid one: the ranked pass ``fabric._ranked`` is entered only when the
+reference finds a conflict.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsched import fabric
 from starsched.fabric import (
     _MERGE_KINDS,
     CATALOG,
@@ -96,9 +99,20 @@ def reference_validate(timeline, grid):
     return conflicts[0]
 
 
+def assert_matches_reference(tl, grid):
+    """validate agrees with the reference, and enters the ranked pass only
+    on a timeline the reference rejects."""
+    expected = reference_validate(tl, grid)
+    with mock.patch.object(fabric, "_ranked", wraps=fabric._ranked) as ranked:
+        assert validate(tl, grid) == expected
+    if expected is None:
+        assert ranked.call_count == 0
+
+
 KINDS = sorted(_MERGE_KINDS) + ["s_gate", "rus_block_zz", "xxyy_block"]
 STARTS = st.integers(0, 8).map(lambda h: h / 2)
 FREE_DURATIONS = st.integers(0, 8).map(lambda h: h / 2)
+LONG_DURATIONS = st.integers(0, 16).map(lambda h: h / 2)  # span later groups
 
 
 @st.composite
@@ -184,6 +198,42 @@ def adversarial_timelines(draw):
     return grid, tl
 
 
+@st.composite
+def sweep_timelines(draw):
+    """Shuffled ops, mostly on fresh cells so that many timelines are valid,
+    some reusing earlier cells; long ops that span later start groups;
+    zero-duration ops at the start of, inside and at the end of other ops;
+    and one op listing a patch twice, with positive or zero duration."""
+    n = draw(st.sampled_from([2, 3]))
+    grid = build_grid(n, with_qpe_ancilla=draw(st.booleans()))
+    cells = draw(st.permutations(sorted(grid.cells)))
+    ops = []
+    taken = 0
+    for size in draw(st.lists(st.integers(1, 3), max_size=8)):
+        if taken and draw(st.integers(0, 3)) == 0:
+            pool = st.sampled_from(cells[:taken])
+            parts = tuple(draw(st.lists(pool, min_size=1, max_size=size, unique=True)))
+        else:
+            parts = tuple(cells[taken : taken + size])
+            taken += len(parts)
+        if not parts:
+            break
+        kind = draw(st.sampled_from(KINDS))
+        duration = CATALOG[kind] if kind in CATALOG else draw(LONG_DURATIONS)
+        ops.append((draw(STARTS), SurgeryOp(kind, parts, duration)))
+    for _ in range(draw(st.integers(0, 3)) if ops else 0):
+        s, op = draw(st.sampled_from(ops))
+        t = s + draw(st.integers(0, to_half(op.duration))) / 2
+        parts = (draw(st.sampled_from(op.participants)),)
+        ops.append((t, SurgeryOp("xxyy_block", parts, 0.0)))
+    if ops and draw(st.booleans()):
+        i = draw(st.integers(0, len(ops) - 1))
+        s, op = ops[i]
+        twice = op.participants + (draw(st.sampled_from(op.participants)),)
+        ops[i] = (s, SurgeryOp("rus_block_zz", twice, draw(st.sampled_from([0.0, 1.5]))))
+    return grid, Timeline(list(draw(st.permutations(ops))))
+
+
 @lru_cache(maxsize=None)
 def compiled_case(n, mode):
     """A compiled step's ops, its merge start clocks, and per such clock the
@@ -217,14 +267,21 @@ def compiled_case(n, mode):
 @settings(max_examples=200, deadline=None)
 def test_matches_reference_on_disjoint_timelines(case):
     grid, tl = case
-    assert validate(tl, grid) == reference_validate(tl, grid)
+    assert_matches_reference(tl, grid)
 
 
 @given(adversarial_timelines())
 @settings(max_examples=200, deadline=None)
 def test_matches_reference_on_adversarial_timelines(case):
     grid, tl = case
-    assert validate(tl, grid) == reference_validate(tl, grid)
+    assert_matches_reference(tl, grid)
+
+
+@given(sweep_timelines())
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_on_sweep_timelines(case):
+    grid, tl = case
+    assert_matches_reference(tl, grid)
 
 
 @given(st.integers(2, 6), st.sampled_from(["plain", "controlled"]), st.data())
@@ -237,7 +294,7 @@ def test_matches_reference_on_shifted_compiled_steps(n, mode, data):
     i = data.draw(st.sampled_from(pool))
     tl = Timeline([(t, op) if k == i else (s, op) for k, (s, op) in enumerate(ops)])
     grid = build_grid(n, with_qpe_ancilla=(mode == "controlled"))
-    assert validate(tl, grid) == reference_validate(tl, grid)
+    assert_matches_reference(tl, grid)
 
 
 # Every clean move of a routing-holding op onto a merge start clock, n = 2..6,
@@ -283,3 +340,11 @@ def test_self_connected_merge_needs_no_free_routing(kind, parts, cut):
     conflict = validate(split, grid)
     assert conflict == reference_validate(split, grid)
     assert conflict.reason == "participants disconnected"
+
+
+def test_compiled_steps_never_enter_the_ranked_pass():
+    with mock.patch.object(fabric, "_ranked", wraps=fabric._ranked) as ranked:
+        for n in range(2, 21):
+            for mode in ("plain", "controlled"):
+                compile_step(n, mode=mode)
+    assert ranked.call_count == 0
