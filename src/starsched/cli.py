@@ -91,6 +91,8 @@ def cmd_avg_trials(args) -> int:
 
 
 def cmd_simulate_rus(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     cfg = _injection_config(args)
     stats = simulate_parallel_rus(
         args.m,
@@ -181,6 +183,8 @@ def cmd_qcels_demo(args) -> int:
         )
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     target = spectrum.dominant
     estimates = multilevel_qcels(
         spectrum,

@@ -77,9 +77,11 @@ def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> i
     if w_norm <= 0 or eps_t_norm <= 0:
         raise ValueError("error norm and budget must be positive")
     # A calibrated W̃ makes x an integer in exact arithmetic, which rounding can
-    # leave a few ulps above; the 1e-12 shave keeps ceil from adding a step.
+    # leave up to 4 ulps above; the shave of x·2^-48 (16 to 32 ulps) keeps ceil
+    # from adding a step.  It drops one only where x's fraction is below the
+    # shave, which build_report rejects for a calibrated W̃.
     x = tau_j / 2 * math.sqrt(w_norm / eps_t_norm)
-    return max(1, math.ceil(x * (1 - 1e-12)))
+    return max(1, math.ceil(x * (1 - 2**-48)))
 
 
 def total_steps(
@@ -194,13 +196,17 @@ def _real(v) -> bool:  # a JSON number a float can hold; type() rules out bools
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def _int(v) -> bool:  # a JSON integer a float can hold
+    return type(v) is int and _real(v)
+
+
 # "section.key" -> (requirement, check); the key is an EstimatorConfig field
 _SCHEMA = {
     "model.t": ("a number > 0", lambda v: _real(v) and v > 0),
     "model.u": ("a number >= 0", lambda v: _real(v) and v >= 0),
     "injection.k": (
-        "an integer >= 1 or null",
-        lambda v: v is None or type(v) is int and v >= 1,
+        "an integer >= 1 a float can hold, or null",
+        lambda v: v is None or _int(v) and v >= 1,
     ),
     "code.p_phys": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
     "code.eps_logerr": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
@@ -209,8 +215,8 @@ _SCHEMA = {
         lambda v: v is None or type(v) is int and 3 <= v <= MAX_DISTANCE and v % 2 == 1,
     ),
     "qcels.delta": ("a number > 0", lambda v: _real(v) and v > 0),
-    "qcels.n_pairs": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-    "qcels.n_samples": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "qcels.n_pairs": ("an integer >= 2 a float can hold", lambda v: _int(v) and v >= 2),
+    "qcels.n_samples": ("an integer >= 1 a float can hold", lambda v: _int(v) and v >= 1),
     "qcels.eps_targ": ("a number in (0, 1]", lambda v: _real(v) and 0 < v <= 1),
     "trotter.w_norm": ("a number > 0 or null", lambda v: v is None or _real(v) and v > 0),
 }
@@ -331,6 +337,11 @@ def build_report(
     eps_q, eps_t, n_total, n_max = optimize_split(
         cfg.eps_targ, lam, w_norm, cfg.delta, cfg.n_pairs, cfg.n_samples
     )
+    if cfg.w_norm is None and n_max < calibrate_nmax:
+        raise ValueError(
+            f"--calibrate-nmax {calibrate_nmax} is past what float arithmetic resolves: "
+            f"the largest circuit comes out at {n_max} steps"
+        )
     params = QcelsParams(cfg.delta, cfg.n_pairs, cfg.n_samples, normalize(eps_q, lam))
     eps_t_norm = normalize(eps_t, lam)
     steps = [trotter_steps_per_level(t, w_norm, eps_t_norm) for t in params.tau]

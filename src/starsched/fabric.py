@@ -7,13 +7,16 @@ non-negative duration, the catalog value of a catalog kind) and converts them
 to integer half-clocks, so its interval comparisons are exact.  It shows a
 valid timeline valid with one sweep over groups of ops sharing a start, the
 patches held as bits of an int; only a timeline the sweep finds fault with
-goes on to the ranked pass, which names the earliest conflict.
+goes on to the ranked pass, which names the earliest conflict.  Both passes,
+and the injection regions of ``rus``, map patches to bits and grow masks
+only through ``bit_grid`` (and ``flood``, its fill through allowed cells).
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,11 +65,42 @@ def to_half(clocks: float) -> int:
 Coord = tuple[int, int]
 
 
+def bit_grid(cells: Iterable[Coord]) -> tuple[dict[Coord, int], Callable[[int], int]]:
+    """Each cell's bit over the cells' bounding box, and one ring of growth.
+
+    Cell (r, c) is bit (r - r0)·cols + (c - c0), (r0, c0) the box's corner.
+    ``grow(x)`` holds the cells next to x's, plus bits past the box, by four
+    shifts; column masks stop a row's edge from wrapping into the next row.
+    """
+    cells = list(cells)
+    r0, c0 = min(r for r, _ in cells), min(c for _, c in cells)
+    cols = max(c for _, c in cells) - c0 + 1
+    rows = max(r for r, _ in cells) - r0 + 1
+    first_col = sum(1 << (r * cols) for r in range(rows))
+    box = (first_col << cols) - first_col  # every bit of the bounding box
+    not_first, not_last = box ^ first_col, box ^ (first_col << (cols - 1))
+    bit = {cell: 1 << ((cell[0] - r0) * cols + cell[1] - c0) for cell in cells}
+
+    def grow(x: int) -> int:
+        return (x >> cols) | (x << cols) | ((x & not_first) >> 1) | ((x & not_last) << 1)
+
+    return bit, grow
+
+
+def flood(grow: Callable[[int], int], reach: int, allowed: int) -> int:
+    """``reach`` grown by ``grow``, ring by ring, through ``allowed`` until
+    it stops: the cells joined to it through allowed cells."""
+    while True:
+        more = reach | (grow(reach) & allowed)
+        if more == reach:
+            return reach
+        reach = more
+
+
 @dataclass
 class PatchGrid:
     """4 x V grid of logical patches: data row / two routing rows / data row."""
 
-    n: int
     cells: dict[Coord, str]  # role: "data" | "routing"
     qpe_ancilla: Coord | None = None
 
@@ -91,7 +125,7 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     if with_qpe_ancilla:
         qpe = (1, v)
         cells[qpe] = "data"
-    return PatchGrid(n, cells, qpe)
+    return PatchGrid(cells, qpe)
 
 
 @dataclass(frozen=True)
@@ -210,38 +244,16 @@ def _length(kind: str, duration: float) -> int:
 def _sweep(ops: list[tuple[float, SurgeryOp]], grid: PatchGrid) -> bool:
     """True if the ops are valid on ``grid``; False if any may conflict.
 
-    Cell (r, c) is bit r·cols + c of an int over the grid's bounding box, and
-    a flood fill grows by four shifts, as the injection regions of ``rus``.
-    Ops are walked in groups sharing a start half-clock, in clock order, with
-    the cells earlier groups still hold kept per end clock.  A positive-length
-    op must miss those cells and every other positive-length op of its group;
-    a zero-length op only those cells, since it overlaps only an op it starts
-    strictly inside.  A merge its own patches do not join is flood-filled
-    through them and the routing cells its group's clock leaves free.
+    Cells are bits of an int (``bit_grid``).  Ops are walked in groups sharing
+    a start half-clock, in clock order, with the cells earlier groups still
+    hold kept per end clock.  A positive-length op must miss those cells and
+    every other positive-length op of its group; a zero-length op only those
+    cells, since it overlaps only an op it starts strictly inside.  A merge
+    its own patches do not join is flood-filled through them and the routing
+    cells its group's clock leaves free.
     """
-    cells = grid.cells
-    r0, c0 = min(r for r, _ in cells), min(c for _, c in cells)
-    cols = max(c for _, c in cells) - c0 + 1
-    rows = max(r for r, _ in cells) - r0 + 1
-    first_col = sum(1 << (r * cols) for r in range(rows))
-    box = (first_col << cols) - first_col  # every bit of the bounding box
-    not_first, not_last = box ^ first_col, box ^ (first_col << (cols - 1))
-    bit: dict[Coord, int] = {}
-    routing = 0
-    for coord, role in cells.items():
-        b = bit[coord] = 1 << ((coord[0] - r0) * cols + coord[1] - c0)
-        if role == "routing":
-            routing |= b
-
-    def flood(reach: int, allowed: int) -> int:
-        while True:
-            ring = (reach >> cols) | (reach << cols)
-            ring |= ((reach & not_first) >> 1) | ((reach & not_last) << 1)
-            more = reach | (ring & allowed)
-            if more == reach:
-                return reach
-            reach = more
-
+    bit, grow = bit_grid(grid.cells)
+    routing = sum(bit[c] for c, role in grid.cells.items() if role == "routing")
     half = lru_cache(maxsize=None)(to_half)
     length = lru_cache(maxsize=None)(_length)
     info: dict[int, tuple[int, int, int, int]] = {}  # id(op) -> describe(op)
@@ -263,7 +275,7 @@ def _sweep(ops: list[tuple[float, SurgeryOp]], grid: PatchGrid) -> bool:
         seed = 0
         if op.kind in _MERGE_KINDS and len(parts) >= 2:
             first = bit[parts[0]]
-            if flood(first, mask) != mask:
+            if flood(grow, first, mask) != mask:
                 seed = first
         return mask, n, len(parts) if n else 0, seed
 
@@ -284,7 +296,7 @@ def _sweep(ops: list[tuple[float, SurgeryOp]], grid: PatchGrid) -> bool:
             if (zero | cells) & busy or cells.bit_count() != count:
                 return False
             free = routing & ~(busy | cells)
-            return all(flood(seed, m | free) & m == m for seed, m in searches)
+            return all(flood(grow, seed, m | free) & m == m for seed, m in searches)
 
         last = object()  # no start is that object
         for start, op in ops:
@@ -330,6 +342,7 @@ def _ranked(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
         timeline.ops, key=lambda so: (so[0], so[1].kind, so[1].participants)
     )
     cells = grid.cells
+    bit, grow = bit_grid(cells)
     half = lru_cache(maxsize=None)(to_half)
     length = lru_cache(maxsize=None)(_length)
     conflicts: list[Conflict] = []
@@ -357,18 +370,18 @@ def _ranked(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     for rank, s in merges:
         start, op = ordered[rank]
         parts = op.participants
-        seen = _reach({parts[0]}, set(parts))
-        if seen.issuperset(parts):
+        own = sum(bit[c] for c in set(parts))
+        seen = flood(grow, bit[parts[0]], own)
+        if seen == own:
             continue
-        free = {
-            c
-            for c, role in cells.items()
-            if role == "routing"
-            and not any(a <= s < b for a, b, _ in intervals.get(c, ()))
-        }
-        seen = _reach(seen, free.union(parts))
+        free = 0
+        for c, role in cells.items():
+            held = intervals.get(c, ())
+            if role == "routing" and not any(a <= s < b for a, b, _ in held):
+                free |= bit[c]
+        seen = flood(grow, seen, own | free)
         for coord in parts:
-            if coord not in seen:
+            if not bit[coord] & seen:
                 conflicts.append(
                     Conflict(start, coord, (rank,), "participants disconnected")
                 )
@@ -376,15 +389,3 @@ def _ranked(timeline: Timeline, grid: PatchGrid) -> Conflict | None:
     if not conflicts:
         return None
     return min(conflicts, key=lambda c: (c.clock, c.coord, c.op_indices))
-
-
-def _reach(seen: set[Coord], allowed: set[Coord]) -> set[Coord]:
-    """Grow ``seen`` in place to every cell joined to it through ``allowed``."""
-    stack = list(seen)
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in allowed and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen

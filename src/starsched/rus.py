@@ -7,10 +7,8 @@ Pauli measurement (Z: 1 clock, ZZ: 2 clocks) that succeeds with probability
 finishes when the slowest process completes.
 
 The Monte Carlo holds each injection region, and a run's free patches, as
-an int over the batch's rows × cols grid, cell (r, c) at bit r·cols + c.  One
-ring of growth is four shifts, ``x >> cols``, ``x << cols``, ``(x &
-not_first_col) >> 1`` and ``(x & not_last_col) << 1``; the column masks stop
-a row's edge from wrapping into the next row.
+a mask over the batch's grid, and grows a region one ring at a time, both
+through ``fabric.bit_grid``.
 
 Regions regrow lazily.  A clock with completions only logs its completed
 pids, and the log is replayed in clock order through
@@ -35,8 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from .fabric import bit_grid
 from .injection import (
     SHIPPED_CONFIGS,
     InfeasibleModel,
@@ -100,23 +100,19 @@ class FreeCells:
 
 
 def update_injection_regions(
-    free: FreeCells, regions: dict[int, int], grid: tuple[int, int, int]
+    free: FreeCells, regions: dict[int, int], grow: Callable[[int], int]
 ) -> set[int]:
     """Grow the ongoing regions over the free patches by simultaneous BFS.
 
-    Masks lie on ``grid = (cols, not_first_col, not_last_col)`` (module
-    docstring).  A free cell next to several regions goes to the one with the
-    fewest patches at the start of the ring, ties to the lower pid: claimants
-    go in (size, pid) order, each taking the free cells next to it that no
-    earlier one took.  Only regions next to a free cell join the first ring,
-    and only those that gained join the next.  ``regions`` grows in place and
-    ``free.bits`` loses the cells; returns the pids whose regions grew.
+    Masks lie on the batch's grid, and ``grow`` is its one ring of growth
+    (``fabric.bit_grid``).  A free cell next to several regions goes to the
+    one with the fewest patches at the start of the ring, ties to the lower
+    pid: claimants go in (size, pid) order, each taking the free cells next
+    to it that no earlier one took.  Only regions next to a free cell join
+    the first ring, and only those that gained join the next.  ``regions``
+    grows in place and ``free.bits`` loses the cells; returns the pids whose
+    regions grew.
     """
-    cols, not_first, not_last = grid
-
-    def grow(x: int) -> int:
-        return (x >> cols) | (x << cols) | ((x & not_first) >> 1) | ((x & not_last) << 1)
-
     avail = free.bits
     near = grow(avail)
     ring = [pid for pid, region in regions.items() if region & near]
@@ -196,21 +192,19 @@ def benchmark_layout(m: int, basis: str):
 
 
 def _batch(m: int, basis: str):
-    """Region masks, free mask, grid, measurement clocks and initial region
-    sizes of an M-process batch: ``benchmark_layout``'s 4 × cols grid as
-    bitmasks."""
+    """Region masks, free mask, one ring of growth, measurement clocks and
+    initial region sizes of an M-process batch: ``benchmark_layout``'s
+    4 × cols grid through ``fabric.bit_grid``."""
     targets, regions0, cells = benchmark_layout(m, basis)
-    cols = len(cells) // 4
+    bit, grow = bit_grid(cells)
 
     def mask(coords) -> int:
-        return sum(1 << (r * cols + c) for r, c in coords)
+        return sum(bit[c] for c in coords)
 
     used = {c for t in targets.values() for c in t} | {c for r in regions0.values() for c in r}
-    full, first_col = mask(cells), mask((r, 0) for r in range(4))
-    grid = (cols, full ^ first_col, full ^ (first_col << (cols - 1)))
     regions = {pid: mask(region) for pid, region in regions0.items()}
     sizes = tuple(region.bit_count() for region in regions.values())
-    return regions, full ^ mask(used), grid, 1 if basis == "Z" else 2, sizes
+    return regions, mask(cells - used), grow, 1 if basis == "Z" else 2, sizes
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -232,13 +226,13 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     return q
 
 
-def _regrow(pending, free, regions, grid, size, k, meas_left, now, q) -> None:
+def _regrow(pending, free, regions, grow, size, k, meas_left, now, q) -> None:
     """Replay a run's pending regrowths in clock order, then refresh the
     sizes, and the injection chances of the awaiting processes, that grew."""
     for done in pending:
         for pid in done:
             free.bits |= regions.pop(pid)
-        for pid in update_injection_regions(free, regions, grid):
+        for pid in update_injection_regions(free, regions, grow):
             size[pid] = regions[pid].bit_count()
             if not meas_left[pid]:
                 now[pid] = q(k[pid], size[pid])
@@ -255,7 +249,7 @@ def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
     """
     import numpy as np
 
-    regions0, free0, grid, meas_clocks, size0 = batch
+    regions0, free0, grow, meas_clocks, size0 = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
@@ -284,7 +278,7 @@ def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
     waiting = m
     free = FreeCells(free0)
     # the hot loop's names stay locals: regrow takes them as arguments
-    state = (pending, free, regions, grid, size, k, meas_left, now, q)
+    state = (pending, free, regions, grow, size, k, meas_left, now, q)
     t = 0
     while True:
         t += 1

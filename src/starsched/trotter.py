@@ -49,7 +49,6 @@ class Batch:
 
 @dataclass
 class TrotterSchedule:
-    n: int
     mode: str
     batches: list[Batch]
     timeline: Timeline
@@ -206,7 +205,7 @@ def compile_step(n: int, mode: str = "plain", t_rus=None) -> TrotterSchedule:
                 pos[a], pos[b] = p + 1, p
         start += dur
 
-    schedule = TrotterSchedule(n, mode, batches, timeline, pair, fswaps)
+    schedule = TrotterSchedule(mode, batches, timeline, pair, fswaps)
     conflict = fabric.validate(timeline, grid)
     if conflict is not None:
         raise AssertionError(f"compiled timeline failed validation: {conflict}")

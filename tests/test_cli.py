@@ -115,6 +115,13 @@ def test_estimate_exit_codes(tmp_path):
     assert run(["estimate", "--n", "4", "--calibrate-nmax", "5", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("target", [10**16, 10**22])
+def test_estimate_target_floats_cannot_meet_is_one_line_error(capsys, target):
+    assert run(["estimate", "--n", "4", "--calibrate-nmax", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --calibrate-nmax {target} ") and err.count("\n") == 1
+
+
 def test_estimate_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trotter": {"w_norm": 1.0e7}}))
@@ -261,6 +268,15 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
         ["qcels-demo", "--pairs", "-1", "--trials", "1"],
         ["estimate", "--n", "4", "--calibrate-nmax", "1"],
         ["estimate", "--n", "4", "--calibrate-nmax", "4"],
+        # integers past the float range
+        ESTIMATE + ["--config", {"injection": {"k": 10**400}}],
+        ESTIMATE + ["--config", {"qcels": {"n_samples": 10**400}}],
+        [
+            "estimate", "--n", "4", "--config",
+            {"qcels": {"n_pairs": 10**400}, "trotter": {"w_norm": 1.0}},
+        ],
+        ["simulate-rus", "--m", "3", "--runs", "2", "--seed", "-1"],
+        ["qcels-demo", "--trials", "1", "--seed", "-1"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -274,8 +290,8 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    if argv[-2] == "--config":  # one key per config, named in the message
-        ((section, keys),) = content.items()
+    if argv[-2] == "--config":  # the offending key comes first, named in the message
+        section, keys = next(iter(content.items()))
         assert f"{section}.{next(iter(keys))}" in err
     elif isinstance(content, dict):  # the offending spectrum key comes first
         assert next(iter(content)) in err
@@ -285,6 +301,8 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
         assert "--calibrate-nmax" in err and "qcels.n_pairs" in err
     elif "--pairs" in argv:
         assert "data points per level" in err
+    elif "--seed" in argv:
+        assert "--seed" in err
 
 
 @pytest.mark.parametrize(

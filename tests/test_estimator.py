@@ -115,6 +115,17 @@ def test_report_requires_error_norm_or_calibration():
         build_report(4, EstimatorConfig())
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize(
+    "target", [5, 3397, 10**12, 10**13, 10**13 + 1, 10**14, 10**14 + 3, 10**15]
+)
+def test_report_meets_the_calibration_target(n, target):
+    n_max = build_report(n, calibrate_nmax=target).n_max
+    assert n_max >= target
+    if target % 5 == 0:  # a multiple of qcels.n_pairs is met exactly
+        assert n_max == target
+
+
 def test_report_json_round_trips():
     report = build_report(4, calibrate_nmax=3397)
     obj = json.loads(report.to_json())

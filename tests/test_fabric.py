@@ -11,7 +11,9 @@ from starsched.fabric import (
     CATALOG,
     SurgeryOp,
     Timeline,
+    bit_grid,
     build_grid,
+    flood,
     to_half,
     validate,
 )
@@ -51,6 +53,57 @@ def test_grid_shape():
     qpe = build_grid(4, with_qpe_ancilla=True)
     assert len(qpe.cells) == 4 * 16 + 1
     assert qpe.qpe_ancilla is not None and qpe.cells[qpe.qpe_ancilla] == "data"
+
+
+@st.composite
+def ragged_cells(draw):
+    """A set of cells drawn from a box at nonzero row and column offsets,
+    sometimes with a lone cell in an extra column, as the QPE ancilla."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    r0 = draw(st.integers(-4, 4).filter(bool))
+    c0 = draw(st.integers(-4, 4).filter(bool))
+    box = [(r0 + r, c0 + c) for r in range(rows) for c in range(cols)]
+    cells = {cell for cell in box if draw(st.booleans())}
+    if draw(st.booleans()):
+        cells.add((r0 + draw(st.integers(0, rows - 1)), c0 + cols))
+    return cells or {box[0]}
+
+
+def _neighbors(cell, cells):
+    r, c = cell
+    return {nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if nb in cells}
+
+
+@given(ragged_cells())
+@settings(max_examples=300, deadline=None)
+def test_bit_grid_grows_to_the_neighbors(cells):
+    bit, grow = bit_grid(cells)
+    assert set(bit) == cells
+    assert len(set(bit.values())) == len(cells)
+    assert all(b > 0 and b.bit_count() == 1 for b in bit.values())
+    full = sum(bit.values())
+    for cell in cells:
+        assert grow(bit[cell]) & full == sum(bit[nb] for nb in _neighbors(cell, cells))
+
+
+@given(ragged_cells(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_flood_matches_coordinate_bfs(cells, data):
+    ordered = sorted(cells)
+    reach = set(data.draw(st.sets(st.sampled_from(ordered), min_size=1)))
+    allowed = set(data.draw(st.sets(st.sampled_from(ordered))))
+    seen, stack = set(reach), list(reach)
+    while stack:
+        for nb in _neighbors(stack.pop(), allowed):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    bit, grow = bit_grid(cells)
+
+    def mask(coords):
+        return sum(bit[c] for c in coords)
+
+    assert flood(grow, mask(reach), mask(allowed)) == mask(seen)
 
 
 def _validate_one(start, op):

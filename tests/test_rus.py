@@ -46,6 +46,7 @@ from hypothesis import strategies as st
 
 from starsched import injection, rus
 from starsched.cli import run
+from starsched.fabric import bit_grid
 from starsched.injection import SHIPPED_CONFIGS, InfeasibleModel, InjectionConfig, success_prob
 from starsched.rus import (
     MAX_RUN_CLOCKS,
@@ -124,11 +125,12 @@ def to_cells(bits, cols):
     return {divmod(i, cols) for i in range(bits.bit_length()) if bits >> i & 1}
 
 
-def grid_masks(rows, cols):
-    """(cols, not_first_col, not_last_col) of a rows × cols grid."""
-    first_col = to_mask(((r, 0) for r in range(rows)), cols)
-    full = (1 << rows * cols) - 1
-    return cols, full ^ first_col, full ^ (first_col << (cols - 1))
+def box_grow(rows, cols):
+    """``bit_grid``'s one ring of growth over a rows × cols grid, whose
+    cell bits are those of ``to_mask``."""
+    bit, grow = bit_grid((r, c) for r in range(rows) for c in range(cols))
+    assert bit == {(r, c): to_mask([(r, c)], cols) for r in range(rows) for c in range(cols)}
+    return grow
 
 
 def grow_masks(free, regions, rows, cols):
@@ -140,7 +142,7 @@ def grow_masks(free, regions, rows, cols):
     """
     box = FreeCells(to_mask(free, cols))
     masks = {pid: to_mask(region, cols) for pid, region in regions.items()}
-    grown_pids = update_injection_regions(box, masks, grid_masks(rows, cols))
+    grown_pids = update_injection_regions(box, masks, box_grow(rows, cols))
     free.intersection_update(to_cells(box.bits, cols))
     grown = {pid: to_cells(bits, cols) for pid, bits in masks.items()}
     assert grown_pids == {pid for pid in regions if grown[pid] != regions[pid]}
@@ -267,10 +269,13 @@ def test_batch_masks_match_layout(m, basis):
     targets, regions, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
     used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
-    masks, free, grid, meas_clocks, _ = rus._batch(m, basis)
+    masks, free, grow, meas_clocks, _ = rus._batch(m, basis)
     assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
     assert free == to_mask(cells - used, cols)
-    assert grid == grid_masks(4, cols)
+    neighbors = _grid_neighbors(cells)
+    full = to_mask(cells, cols)
+    for cell in cells:  # one ring of growth reaches exactly the grid neighbours
+        assert grow(to_mask([cell], cols)) & full == to_mask(neighbors(cell), cols)
     assert meas_clocks == len(basis)
 
 
