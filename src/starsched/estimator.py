@@ -99,7 +99,7 @@ def total_steps(
     n_last = 1
     for tau_j in params.tau:
         n_j = trotter_steps_per_level(tau_j, w_norm, eps_t_norm)
-        total += 2 * ns * n_j * sum(range(n))
+        total += 2 * ns * n_j * (n * (n - 1) // 2)
         n_last = n_j
     return total, n * n_last
 

@@ -19,10 +19,14 @@ with the threshold at the region size last known, and only a draw at or
 above it replays the log and is compared again at the exact size.  The
 known size is a lower bound, since a running process's region only grows,
 and q(k, size) = 1 − (1 − p_k)^(size·a) never falls as size grows, so a draw
-below the bound succeeds at the exact size too.  At the shipped pass rate a
-process awaits only before its first injection and no pre-injection draw
-reaches the bound, so no run regrows; naive mode never logs, and its
-injection draws carry no check.
+below the bound succeeds at the exact size too.  Naive mode never logs, and
+its injection draws carry no check.
+
+Each run first tries ``_trial_pass``.  While every draw lands below its
+threshold at the batch's common initial size, no region regrows and the run
+reads one fixed sequence, checked a trial's draws and coins at a time.  At
+the shipped pass rate runs end there; a failed draw or the clock cap
+hands the run to the per-clock loop, from its first uniform.
 
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.
@@ -192,9 +196,10 @@ def benchmark_layout(m: int, basis: str):
 
 
 def _batch(m: int, basis: str):
-    """Region masks, free mask, one ring of growth, measurement clocks and
-    initial region sizes of an M-process batch: ``benchmark_layout``'s
-    4 × cols grid through ``fabric.bit_grid``."""
+    """Region masks, free mask, one ring of growth, measurement clocks,
+    initial region sizes and their common size (0 if they differ) of an
+    M-process batch: ``benchmark_layout``'s 4 × cols grid through
+    ``fabric.bit_grid``."""
     targets, regions0, cells = benchmark_layout(m, basis)
     bit, grow = bit_grid(cells)
 
@@ -204,7 +209,8 @@ def _batch(m: int, basis: str):
     used = {c for t in targets.values() for c in t} | {c for r in regions0.values() for c in r}
     regions = {pid: mask(region) for pid, region in regions0.items()}
     sizes = tuple(region.bit_count() for region in regions.values())
-    return regions, mask(cells - used), grow, 1 if basis == "Z" else 2, sizes
+    uniform = sizes[0] if len(set(sizes)) == 1 else 0
+    return regions, mask(cells - used), grow, 1 if basis == "Z" else 2, sizes, uniform
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -239,6 +245,62 @@ def _regrow(pending, free, regions, grow, size, k, meas_left, now, q) -> None:
     pending.clear()
 
 
+def _refill(rng, blocks, buf, pos: int, drawn: int):
+    """Drop the ``pos`` uniforms read from ``buf`` and append as many from
+    ``rng``, as one more block: (buf, drawn, pos)."""
+    blocks.append(rng.random(pos))
+    return buf[pos:] + blocks[-1].tolist(), drawn + pos, 0
+
+
+def _trial_pass(batch, q, first, adaptive: bool, rng, blocks, buf):
+    """The run trial by trial while every draw lands below its threshold at
+    the batch's common initial size; None leaves it to the clock loop.
+
+    Then no region regrows, and a trial reads one draw per ongoing process
+    (its injection in naive mode, its next trial's pre-injection in adaptive
+    mode), then one coin each.  Declines if the sizes differ, a draw fails or
+    a clock passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending to
+    ``blocks``) and evaluates q only where the clock loop does.
+    """
+    meas, size = batch[3], batch[5]
+    m = len(first)
+    # clock 1: every process draws its first injection; the first draw
+    # alone settles most declines
+    if not size or buf[0] >= first[0] or max(buf[:m]) >= first[0]:
+        return None
+    refill_at = len(buf) - 2 * m
+    pos, drawn, t, k, n = m, 0, 1, 1, m
+    while True:
+        # trial k measures over clocks t + 1 .. t + meas, its coins at the last
+        if t + meas > MAX_RUN_CLOCKS:
+            return None
+        if pos > refill_at:
+            buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
+        if adaptive:  # pre-injections at clock t + 1
+            if max(buf[pos : pos + n]) >= q(k + 1, size):
+                return None
+            pos += n
+            if meas > 1 and pos > refill_at:
+                buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
+        coins = buf[pos : pos + n]
+        pos += n
+        t += meas
+        n = sum(map((0.5).__le__, coins))  # failures go on to trial k + 1
+        if not n:
+            return t, drawn + pos, k, blocks
+        k += 1
+        if not adaptive:  # injections at clock t + 1
+            if t >= MAX_RUN_CLOCKS:
+                return None
+            level = q(k, size)
+            if pos > refill_at:
+                buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
+            if max(buf[pos : pos + n]) >= level:
+                return None
+            pos += n
+            t += 1
+
+
 def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
     """One run of a batch: (completion clock, uniforms read, largest trial
     index, blocks drawn).
@@ -246,10 +308,12 @@ def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
     ``first`` lists each process's first-trial chance q(1, size), the same
     for every run at one pass rate.  The uniforms read are the first ones of
     ``default_rng((seed, run_idx))``, and of the blocks' concatenation.
+    ``_trial_pass`` runs first; if it declines, the clock loop runs the run
+    from its first uniform.
     """
     import numpy as np
 
-    regions0, free0, grow, meas_clocks, size0 = batch
+    regions0, free0, grow, meas_clocks, size0, _ = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
@@ -258,6 +322,11 @@ def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
     rng = np.random.default_rng((seed, run_idx))
     blocks = [rng.random(block)]
     buf = blocks[0].tolist()
+    if found := _trial_pass(batch, q, first, adaptive, rng, blocks, buf):
+        return found
+    if len(blocks) > 1:  # the pass drew past the first block: rewind the rng
+        rng = np.random.default_rng((seed, run_idx))
+        blocks = [rng.random(block)]
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
     # while meas_left > 0 and awaiting an ancilla otherwise, and waiting
@@ -285,10 +354,7 @@ def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
         if t > MAX_RUN_CLOCKS:
             raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
         if pos > refill_at:
-            blocks.append(rng.random(pos))
-            buf = buf[pos:] + blocks[-1].tolist()
-            drawn += pos
-            pos = 0
+            buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
         finishing = []
         for pid in live:
             if meas_left[pid]:
@@ -357,8 +423,9 @@ def simulate_parallel_rus(
     next trial's ancilla during measurement clocks (one buffered state at
     most) and regions regrow over freed patches whenever processes complete;
     naive mode keeps the fixed initial regions and no pre-injection.  The
-    regrowth is deferred until a draw may depend on it (module docstring),
-    which gives the same completions as regrowing at once.
+    regrowth is deferred until a draw may depend on it, and a run whose
+    draws all succeed is checked trial by trial (module docstring); both
+    give the same completions as the per-clock rules below.
 
     Run i draws from ``np.random.default_rng((seed, i))`` in a fixed order,
     which every seeded output depends on.  Each clock first takes one uniform

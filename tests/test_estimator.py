@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,38 @@ def test_total_steps_oracle():
     n_last = max(1, math.ceil(params.tau[-1] / 2 * math.sqrt(w / eps_t)))
     assert total == expect_total
     assert n_max == 3 * n_last
+
+
+def summed_total_steps(params, w_norm, eps_t_norm):
+    """``total_steps`` summing the data points' step counts one by one."""
+    total = n_last = 0
+    for tau_j in params.tau:
+        n_last = trotter_steps_per_level(tau_j, w_norm, eps_t_norm)
+        total += 2 * params.n_samples * n_last * sum(range(params.n_pairs))
+    return total, params.n_pairs * n_last
+
+
+@given(
+    delta=st.floats(0.01, 0.5),
+    n_pairs=st.integers(2, 2000),
+    n_samples=st.integers(0, 1000),
+    eps=st.floats(1e-4, 1.0),
+    w_norm=st.floats(1e-3, 1e8),
+    eps_t=st.floats(1e-6, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_total_steps_matches_summed_loop(delta, n_pairs, n_samples, eps, w_norm, eps_t):
+    params = QcelsParams(delta, n_pairs, n_samples, eps)
+    assert total_steps(params, w_norm, eps_t) == summed_total_steps(params, w_norm, eps_t)
+
+
+def test_split_at_a_huge_pair_count_is_fast():
+    # the step total is a closed form in n_pairs, not a sum over it
+    start = time.perf_counter()
+    eps_q, eps_t, total, n_max = optimize_split(0.01, 64.0, 1e4, n_pairs=10**300)
+    assert time.perf_counter() - start < 0.5
+    assert eps_q + eps_t == pytest.approx(0.01)
+    assert total > 10**600 and n_max >= 10**300
 
 
 def test_split_prefers_two_thirds_region():

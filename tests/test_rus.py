@@ -18,7 +18,10 @@ replayed only once a process awaits an ancilla or a pre-injection draw lands
 at or above the threshold at the region size last known.  A draw below it
 succeeds at any larger size, since q(k, size) never falls as size grows.
 Both must return the same completions, or raise the same error, after the
-same ``success_prob`` calls.
+same ``success_prob`` calls.  ``_trial_pass`` runs a run trial by trial while
+every draw succeeds at the initial region size; patched to decline, it
+leaves every run to the clock loop, which must return the same clock,
+uniforms read, largest trial index and uniforms drawn.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -269,7 +272,7 @@ def test_batch_masks_match_layout(m, basis):
     targets, regions, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
     used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
-    masks, free, grow, meas_clocks, _ = rus._batch(m, basis)
+    masks, free, grow, meas_clocks, *_ = rus._batch(m, basis)
     assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
     assert free == to_mask(cells - used, cols)
     neighbors = _grid_neighbors(cells)
@@ -516,18 +519,108 @@ def regrowth_calls(*args) -> tuple[tuple[int, ...], int]:
 def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
     # at SHIPPED_CONFIGS[9] an injection clock fails with chance 2.7e-15 at
     # trial 1 (7.1e-10 at trial 10), so a run's completion clock is fixed by
-    # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive
+    # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive.
+    # The clock loop runs every run: the trial pass assumes this law.
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
     first = [q(1, n) for n in batch[4]]
     meas = len(basis)
     mismatches = []
-    for i in range(200):
-        adaptive, _, k, _ = rus._simulate_run(batch, q, first, True, 0, i)
-        naive, _, k_naive, _ = rus._simulate_run(batch, q, first, False, 0, i)
-        if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
-            mismatches.append((i, adaptive, k, naive, k_naive))
+    with mock.patch.object(rus, "_trial_pass", decline):
+        for i in range(200):
+            adaptive, _, k, _ = rus._simulate_run(batch, q, first, True, 0, i)
+            naive, _, k_naive, _ = rus._simulate_run(batch, q, first, False, 0, i)
+            if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
+                mismatches.append((i, adaptive, k, naive, k_naive))
     assert mismatches == []
+
+
+def decline(*args):
+    """A ``_trial_pass`` that leaves every run to the clock loop."""
+    return None
+
+
+def trial_pass_spy():
+    """A wrapper of ``_trial_pass`` that logs, per call, "done", "declined",
+    "refilled" (declined after drawing past the first block) or the error."""
+    log = []
+    trial_pass = rus._trial_pass
+
+    def spy(batch, q, first, adaptive, rng, blocks, buf):
+        try:
+            found = trial_pass(batch, q, first, adaptive, rng, blocks, buf)
+        except ValueError as exc:
+            log.append(type(exc).__name__)
+            raise
+        log.append("done" if found else "refilled" if len(blocks) > 1 else "declined")
+        return found
+
+    return spy, log
+
+
+def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
+    """(clock, uniforms read, largest trial index, uniforms drawn) of one run,
+    through ``trial_pass`` and then through the clock loop alone."""
+    found = []
+    for pass_first in (trial_pass, decline):
+        with mock.patch.object(rus, "_trial_pass", pass_first):
+            t, read, max_k, blocks = rus._simulate_run(batch, q, first, adaptive, seed, i)
+        found.append((t, read, max_k, np.concatenate(blocks).tolist()))
+    return found
+
+
+@pytest.mark.parametrize("m", [1, 7, 32, 100])
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
+    batch = rus._batch(m, basis)
+    q = rus._thresholds(1e-8, CFG)
+    first = [q(1, n) for n in batch[4]]
+    spy, log = trial_pass_spy()
+    for i in range(200):
+        by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, first, adaptive, 0, i)
+        assert by_pass == by_clock_loop, i
+    assert set(log) == {"done"}
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_trial_pass_declined_past_the_first_block_matches_clock_loop(mode):
+    # 2·M > RNG_BLOCK: the pass refills at clock 2, so a pass that declines
+    # later has drawn past the first block, which the clock loop must draw
+    # again from the run's first uniform
+    batch = rus._batch(150, "ZZ")
+    spy, log = trial_pass_spy()
+    for p_pass in (0.7, 0.8, 0.9):
+        q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
+        first = [q(1, n) for n in batch[4]]
+        for i in range(40):
+            by_pass, by_clock_loop = pass_and_clock_loop(
+                spy, batch, q, first, mode == "adaptive", 1, i
+            )
+            assert by_pass == by_clock_loop, (p_pass, i)
+    assert {"done", "refilled"} <= set(log)
+
+
+def test_angle_cap_error_leaves_the_trial_pass_once():
+    # the pass evaluates q(28) where the clock loop would, and its error is
+    # the run's: the clock loop does not run the run again
+    spy, log = trial_pass_spy()
+    with mock.patch.object(rus, "_trial_pass", spy):
+        reference, change = outcomes(36, "ZZ", 1e-8, CFG, "adaptive", 100, 909)
+    assert change == reference
+    assert log[-1] == "AngleCapError" and set(log[:-1]) == {"done"}
+
+
+def test_rus_adaptive_shapes_never_enter_the_clock_loop():
+    # the 12 batch shapes of the rus-adaptive goldens, 100 runs at seed 0
+    shapes = golden_adaptive_trials()
+    assert len(shapes) == 12
+    spy, log = trial_pass_spy()
+    with mock.patch.object(rus, "_trial_pass", spy):
+        for (m, basis), counts in shapes.items():
+            runs = sum(counts.values())
+            simulate_parallel_rus(m, basis, 1e-8, CFG, "adaptive", runs, 0)
+    assert len(log) == 1200 and set(log) == {"done"}
 
 
 def test_shipped_pass_rate_never_regrows():
