@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import statistics
 import sys
@@ -93,6 +94,8 @@ def cmd_avg_trials(args) -> int:
 def cmd_simulate_rus(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be a finite angle, got {args.theta}")
     cfg = _injection_config(args)
     stats = simulate_parallel_rus(
         args.m,

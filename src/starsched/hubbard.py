@@ -1,4 +1,4 @@
-"""2D Hubbard model terms and Jordan-Wigner orderings on an open square lattice.
+"""2D Hubbard model size, one-norm and Jordan-Wigner orderings on an open lattice.
 
 Sites of the n x n lattice are indexed row-major: site = row * n + col.
 Spin-orbitals are indexed spin * n**2 + site with spin 0 = up, 1 = down.
@@ -27,22 +27,6 @@ class HubbardSpec:
         if self.n < 2:
             raise ValueError(f"lattice size must be at least 2, got {self.n}")
 
-    @property
-    def volume(self) -> int:
-        return self.n * self.n
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A single Pauli term: coefficient times a product of single-qubit Paulis.
-
-    ``support`` maps spin-orbital index to a letter in {X, Y, Z}.
-    """
-
-    coefficient: float
-    support: tuple[tuple[int, str], ...]
-    kind: str  # "hopping_xx" | "hopping_yy" | "onsite_zz"
-
 
 def grid_edges(n: int) -> list[tuple[int, int]]:
     """All nearest-neighbour edges of the n x n grid, as sorted site pairs."""
@@ -55,33 +39,6 @@ def grid_edges(n: int) -> list[tuple[int, int]]:
             if r + 1 < n:
                 edges.append((s, s + n))
     return edges
-
-
-def build_hamiltonian(spec: HubbardSpec) -> list[PauliTerm]:
-    """Qubit Hamiltonian terms for the Hubbard instance.
-
-    Each hopping edge contributes an XX and a YY term per spin sector with
-    coefficient -t/2 (string factors between the endpoints cancel when the
-    endpoints are adjacent on the Jordan-Wigner line, so only the two-qubit
-    cores are recorded).  Each site contributes one ZZ term with coefficient
-    u/4 coupling its two spin-orbitals.  Identity offsets are dropped.
-    """
-    v = spec.volume
-    out: list[PauliTerm] = []
-    for spin in (0, 1):
-        for a, b in grid_edges(spec.n):
-            qa, qb = spin * v + a, spin * v + b
-            out.append(
-                PauliTerm(-spec.t / 2, ((qa, "X"), (qb, "X")), "hopping_xx")
-            )
-            out.append(
-                PauliTerm(-spec.t / 2, ((qa, "Y"), (qb, "Y")), "hopping_yy")
-            )
-    for s in range(v):
-        out.append(
-            PauliTerm(spec.u / 4, ((s, "Z"), (v + s, "Z")), "onsite_zz")
-        )
-    return out
 
 
 def one_norm(spec: HubbardSpec) -> float:

@@ -15,6 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import seeding
 from .estimator import QcelsParams
 
 
@@ -63,7 +64,8 @@ def synth_signal(
 
     The noiseless series is computed once.  Row k draws its noise as
     default_rng(seeds[k]).normal(size=2·n_pairs), real and imaginary parts
-    alternating, the same numbers as one scalar draw after another."""
+    alternating, the same numbers as one scalar draw after another; the
+    rows' streams are seeded in one batched pass (``seeding``)."""
     import numpy as np
 
     if n_pairs < 2:
@@ -79,11 +81,14 @@ def synth_signal(
         ]
     )
     if not noise_scale:
-        for seed in seeds:
-            np.random.default_rng(seed)  # an invalid seed raises, as with noise
+        for _ in seeding.states(seeds):  # an invalid seed raises, as with noise
+            pass
         return SignalSeries(np.array(times), np.broadcast_to(clean, (len(seeds), n_pairs)))
     draws = np.array(
-        [np.random.default_rng(seed).normal(size=2 * n_pairs) for seed in seeds]
+        [
+            seeding.generator(state).normal(size=2 * n_pairs)
+            for state in seeding.states(seeds)
+        ]
     ).reshape(len(seeds), n_pairs, 2)
     scale = noise_scale / math.sqrt(2)
     values = np.empty((len(seeds), n_pairs), dtype=complex)
@@ -176,10 +181,11 @@ def multilevel_qcels(
     """Run all levels for every trial seed, halving each trial's search
     interval around its fit.
 
-    The level-j series uses spacing τ_j and draws trial k's noise from
-    default_rng((seeds[k], j)); the search interval at level j is
-    θ*_{j-1} ± π/(2 τ_j), starting from the full [-π, π).  All trials are
-    fitted together, level by level.  Returns the final eigenphase estimate
+    The level-j series uses spacing τ_j and draws trial k's noise from the
+    stream of default_rng((seeds[k], j)), the trials' streams seeded in one
+    batched pass; the search interval at level j is θ*_{j-1} ± π/(2 τ_j),
+    starting from the full [-π, π).  All trials are fitted together, level
+    by level.  Returns the final eigenphase estimate
     of each trial, in seed order, equal to running the trials one by one.
     """
     import numpy as np

@@ -28,6 +28,10 @@ reads one fixed sequence, checked a trial's draws and coins at a time.  At
 the shipped pass rate runs end there; a failed draw or the clock cap
 hands the run to the per-clock loop, from its first uniform.
 
+Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
+generator states are computed by ``seeding`` in one batched pass per chunk
+of runs, so no ``SeedSequence`` is built per run.
+
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.
 """
@@ -40,6 +44,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from . import seeding
 from .fabric import bit_grid
 from .injection import (
     SHIPPED_CONFIGS,
@@ -301,31 +306,31 @@ def _trial_pass(batch, q, first, adaptive: bool, rng, blocks, buf):
             t += 1
 
 
-def _simulate_run(batch, q, first, adaptive: bool, seed: int, run_idx: int):
+def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
     """One run of a batch: (completion clock, uniforms read, largest trial
     index, blocks drawn).
 
     ``first`` lists each process's first-trial chance q(1, size), the same
-    for every run at one pass rate.  The uniforms read are the first ones of
-    ``default_rng((seed, run_idx))``, and of the blocks' concatenation.
+    for every run at one pass rate.  ``state`` is the run's row of
+    ``seeding.generate_states``: for run i of seed s, the uniforms read are
+    the first ones of ``default_rng((s, i))``, seeded in one batched pass
+    with the other runs, and of the blocks' concatenation.
     ``_trial_pass`` runs first; if it declines, the clock loop runs the run
     from its first uniform.
     """
-    import numpy as np
-
     regions0, free0, grow, meas_clocks, size0, _ = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
     block = max(RNG_BLOCK, 2 * m)
     refill_at = block - 2 * m
-    rng = np.random.default_rng((seed, run_idx))
+    rng = seeding.generator(state)
     blocks = [rng.random(block)]
     buf = blocks[0].tolist()
     if found := _trial_pass(batch, q, first, adaptive, rng, blocks, buf):
         return found
     if len(blocks) > 1:  # the pass drew past the first block: rewind the rng
-        rng = np.random.default_rng((seed, run_idx))
+        rng = seeding.generator(state)
         blocks = [rng.random(block)]
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
@@ -427,12 +432,14 @@ def simulate_parallel_rus(
     draws all succeed is checked trial by trial (module docstring); both
     give the same completions as the per-clock rules below.
 
-    Run i draws from ``np.random.default_rng((seed, i))`` in a fixed order,
-    which every seeded output depends on.  Each clock first takes one uniform
-    per ongoing process that draws, in pid order: an awaiting process for its
-    injection, and in adaptive mode a measuring process with no buffered
-    ancilla for its pre-injection.  It then takes one coin per process whose
-    measurement ends, in pid order; below 1/2 is a success.
+    Run i draws from the stream of ``np.random.default_rng((seed, i))`` in
+    a fixed order, which every seeded output depends on; the runs' streams
+    are seeded in one batched pass (``seeding``).  Each clock first takes
+    one uniform per ongoing process that draws, in pid order: an awaiting
+    process for its injection, and in adaptive mode a measuring process
+    with no buffered ancilla for its pre-injection.  It then takes one coin
+    per process whose measurement ends, in pid order; below 1/2 is a
+    success.
     """
     if mode not in ("naive", "adaptive"):
         raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
@@ -442,8 +449,10 @@ def simulate_parallel_rus(
     q = _thresholds(theta_star, cfg)
     first = [q(1, n) for n in batch[4]]
     adaptive = mode == "adaptive"
+    states = seeding.states((seed, i) for i in range(runs))
     completions = tuple(
-        _simulate_run(batch, q, first, adaptive, seed, i)[0] for i in range(runs)
+        _simulate_run(batch, q, first, adaptive, state, i)[0]
+        for i, state in enumerate(states)
     )
     return RusStats(completions, runs, seed)
 
@@ -512,8 +521,9 @@ def calibrate_p_pass(
         total = int(clocks[clocks >= 0].sum())
         first = [q(1, n) for n in batch[4]]
         idx, done, lows, highs = [], [], [], []
-        for i in np.flatnonzero(clocks < 0).tolist():
-            t, drawn, max_k, blocks = _simulate_run(batch, q, first, False, seed, i)
+        todo = np.flatnonzero(clocks < 0).tolist()
+        for i, state in zip(todo, seeding.states((seed, i) for i in todo)):
+            t, drawn, max_k, blocks = _simulate_run(batch, q, first, False, state, i)
             if max_k > len(level):
                 level = levels(max_k)
             u = np.concatenate(blocks)[:drawn]

@@ -277,6 +277,8 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
         ],
         ["simulate-rus", "--m", "3", "--runs", "2", "--seed", "-1"],
         ["qcels-demo", "--trials", "1", "--seed", "-1"],
+        ["simulate-rus", "--theta", "inf"],
+        ["simulate-rus", "--theta=-inf"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -303,6 +305,8 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
         assert "data points per level" in err
     elif "--seed" in argv:
         assert "--seed" in err
+    elif argv[1].startswith("--theta"):
+        assert "--theta" in err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from starsched.hubbard import (
     HubbardSpec,
     OrderingError,
     _odd_even_route,
-    build_hamiltonian,
     default_orderings,
     grid_edges,
     one_norm,
@@ -20,6 +19,8 @@ from starsched.hubbard import (
     sublayers,
 )
 from starsched import hubbard
+
+from hamiltonian import build_hamiltonian
 
 
 def test_grid_edges_count():

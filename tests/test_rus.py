@@ -62,6 +62,7 @@ from starsched.rus import (
     simulate_parallel_rus,
     update_injection_regions,
 )
+from starsched.seeding import generate_states
 
 CFG = SHIPPED_CONFIGS[9]
 
@@ -432,7 +433,8 @@ def outcomes(*args, clock_cap=MAX_RUN_CLOCKS):
     mode=st.sampled_from(["naive", "adaptive"]),
     log_p_pass=st.floats(-3, 0),
     attempts=st.integers(1, 3),
-    seed=st.integers(0, 2**16),
+    # multi-word seeds too: from 2^32 up, (seed, run) spans 3 or more words
+    seed=st.one_of(st.integers(0, 2**16), st.integers(2**32, 2**100)),
     runs=st.integers(1, 5),
     log_theta=st.one_of(st.just(-8.0), st.floats(-9, 0)),
     clock_cap=st.one_of(st.just(MAX_RUN_CLOCKS), st.integers(1, 400)),
@@ -528,8 +530,12 @@ def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
     mismatches = []
     with mock.patch.object(rus, "_trial_pass", decline):
         for i in range(200):
-            adaptive, _, k, _ = rus._simulate_run(batch, q, first, True, 0, i)
-            naive, _, k_naive, _ = rus._simulate_run(batch, q, first, False, 0, i)
+            adaptive, _, k, _ = rus._simulate_run(
+                batch, q, first, True, generate_states([(0, i)])[0], i
+            )
+            naive, _, k_naive, _ = rus._simulate_run(
+                batch, q, first, False, generate_states([(0, i)])[0], i
+            )
             if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
                 mismatches.append((i, adaptive, k, naive, k_naive))
     assert mismatches == []
@@ -564,7 +570,9 @@ def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
     found = []
     for pass_first in (trial_pass, decline):
         with mock.patch.object(rus, "_trial_pass", pass_first):
-            t, read, max_k, blocks = rus._simulate_run(batch, q, first, adaptive, seed, i)
+            t, read, max_k, blocks = rus._simulate_run(
+                batch, q, first, adaptive, generate_states([(seed, i)])[0], i
+            )
         found.append((t, read, max_k, np.concatenate(blocks).tolist()))
     return found
 

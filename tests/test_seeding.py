@@ -1,0 +1,136 @@
+"""Batched seeding: numpy's SeedSequence states and default_rng streams."""
+
+import contextlib
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starsched import rus, seeding
+from starsched.injection import SHIPPED_CONFIGS
+from starsched.qcels import SyntheticSpectrum, multilevel_qcels
+from starsched.rus import calibrate_p_pass, simulate_parallel_rus
+from starsched.seeding import generate_states, generator, states
+
+CFG = SHIPPED_CONFIGS[9]
+
+# word boundaries of SeedSequence's int-to-uint32 split, and ints up to five
+# words long
+INTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), st.integers(0, 2**130))
+NUMPY_INTS = st.one_of(
+    st.integers(0, 255).map(np.uint8),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+# tuples of 1 to 6 ints hold 1 to 30 words, either side of the pool of 4
+ENTROPIES = st.one_of(
+    INTS,
+    NUMPY_INTS,
+    st.lists(st.one_of(INTS, NUMPY_INTS), min_size=1, max_size=6).map(tuple),
+)
+
+
+@given(st.lists(ENTROPIES, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_states_and_streams_match_numpy(batch):
+    # one batch mixes word counts, so several groups are hashed together
+    for entropy, state in zip(batch, generate_states(batch), strict=True):
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert state.dtype == np.uint64 and state.tolist() == expected.tolist()
+        ours, numpys = generator(state), np.random.default_rng(entropy)
+        assert ours.random(5).tolist() == numpys.random(5).tolist()
+        assert ours.normal(size=5).tolist() == numpys.normal(size=5).tolist()
+
+
+@given(
+    negative=st.one_of(st.integers(-(2**70), -1), st.integers(-(2**63), -1).map(np.int64)),
+    before=st.lists(INTS, max_size=3),
+    bare=st.booleans(),
+)
+def test_negative_entropy_raises_numpys_error(negative, before, bare):
+    entropy = negative if bare else (*before, negative)
+    with pytest.raises(ValueError) as numpys:
+        np.random.SeedSequence(entropy)
+    with pytest.raises(ValueError) as ours:
+        generate_states([*before, entropy])
+    assert str(ours.value) == str(numpys.value)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        np.zeros((4, 2), dtype=np.uint64)[:, 0],  # not contiguous
+        np.zeros(3, dtype=np.uint64),
+        np.zeros(4, dtype=np.int64),
+        np.zeros(4, dtype=">u8" if np.little_endian else "<u8"),
+        [0, 0, 0, 0],
+    ],
+)
+def test_generator_rejects_a_malformed_state(state):
+    # PCG64 would read past the row or across its stride without a word
+    with pytest.raises(ValueError, match="contiguous row of 4 native uint64"):
+        generator(state)
+
+
+def test_states_are_computed_a_chunk_at_a_time():
+    pulled = []
+
+    def entropies():
+        for i in range(seeding.CHUNK + 3):
+            pulled.append(i)
+            yield (7, i)
+
+    rows = states(entropies())
+    next(rows)
+    assert len(pulled) == seeding.CHUNK
+    rest = list(rows)
+    assert len(pulled) == len(rest) + 1 == seeding.CHUNK + 3
+    expected = np.random.SeedSequence((7, seeding.CHUNK + 2)).generate_state(4, np.uint64)
+    assert rest[-1].tolist() == expected.tolist()
+
+
+@contextlib.contextmanager
+def seed_sequences_built():
+    """Count the calls of numpy's default_rng and SeedSequence."""
+    rng = mock.Mock(wraps=np.random.default_rng)
+    seq = mock.Mock(wraps=np.random.SeedSequence)
+    with mock.patch.object(np.random, "default_rng", rng), mock.patch.object(
+        np.random, "SeedSequence", seq
+    ):
+        yield lambda: rng.call_count + seq.call_count
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_simulation_builds_no_seed_sequence(mode):
+    # at M = 150 ZZ and p_pass 0.7 some trial passes decline after drawing
+    # past the first block, so the run rewinds its generator
+    refilled = []
+    trial_pass = rus._trial_pass
+
+    def spy(batch, q, first, adaptive, rng, blocks, buf):
+        found = trial_pass(batch, q, first, adaptive, rng, blocks, buf)
+        refilled.append(found is None and len(blocks) > 1)
+        return found
+
+    with seed_sequences_built() as built, mock.patch.object(rus, "_trial_pass", spy):
+        simulate_parallel_rus(32, "Z", 1e-8, CFG, mode, runs=50, seed=2**40)
+        simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
+        assert built() == 0
+    assert any(refilled)
+
+
+def test_calibration_builds_no_seed_sequence():
+    with seed_sequences_built() as built:
+        calibrate_p_pass(161, m=32, runs=20)
+        assert built() == 0
+
+
+@pytest.mark.parametrize("n_samples", [0, 100])
+def test_qcels_builds_no_seed_sequence(n_samples):
+    spectrum = SyntheticSpectrum((-0.5, 0.9), (0.8, 0.2))
+    with seed_sequences_built() as built:
+        multilevel_qcels(spectrum, 0.05, n_samples=n_samples, seeds=[0, 2**32 + 1])
+        assert built() == 0

@@ -11,7 +11,7 @@ from starsched import trotter
 from starsched.cli import run
 from starsched.estimator import build_report
 from starsched.fabric import validate
-from starsched.hubbard import HubbardSpec, build_hamiltonian, sublayers
+from starsched.hubbard import HubbardSpec, sublayers
 from starsched.trotter import (
     CONTROLLED_STEP_CLOCKS,
     compile_step,
@@ -20,6 +20,8 @@ from starsched.trotter import (
     step_batches,
     trotter_clocks,
 )
+
+from hamiltonian import build_hamiltonian
 
 
 @pytest.mark.parametrize("n", range(2, 8))
