@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import statistics
 import sys
@@ -27,7 +26,7 @@ import tempfile
 from dataclasses import replace
 
 from .estimator import EstimatorConfig, InfeasibleModel, _real, build_report, parse_config
-from .injection import SHIPPED_CONFIGS
+from .injection import ANGLE_CAP, SHIPPED_CONFIGS, effective_angle
 from .qcels import SyntheticSpectrum, multilevel_qcels, wrap_phase
 from .rus import expected_trials, simulate_parallel_rus
 from .trotter import compile_step, rough_t_rus, serial_clocks, trotter_clocks
@@ -94,9 +93,13 @@ def cmd_avg_trials(args) -> int:
 def cmd_simulate_rus(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    if not math.isfinite(args.theta):
-        raise ValueError(f"--theta must be a finite angle, got {args.theta}")
     cfg = _injection_config(args)
+    # the largest angle trial 1 can prepare: theta_for_target's domain
+    bound = effective_angle(ANGLE_CAP, cfg.k)
+    if not abs(args.theta) <= bound:
+        raise ValueError(
+            f"--theta must be an angle of magnitude at most {bound!r}, got {args.theta}"
+        )
     stats = simulate_parallel_rus(
         args.m,
         args.basis,

@@ -10,23 +10,15 @@ The Monte Carlo holds each injection region, and a run's free patches, as
 a mask over the batch's grid, and grows a region one ring at a time, both
 through ``fabric.bit_grid``.
 
-Regions regrow lazily.  A clock with completions only logs its completed
-pids, and the log is replayed in clock order through
-``update_injection_regions`` once a draw may need a region's exact size.
-An injection draw may, so the log is replayed at the end of any clock after
-which a process awaits an ancilla.  A pre-injection draw is compared first
-with the threshold at the region size last known, and only a draw at or
-above it replays the log and is compared again at the exact size.  The
-known size is a lower bound, since a running process's region only grows,
-and q(k, size) = 1 − (1 − p_k)^(size·a) never falls as size grows, so a draw
-below the bound succeeds at the exact size too.  Naive mode never logs, and
-its injection draws carry no check.
+In adaptive mode a completing process frees its region at once, and each
+clock with completions that leaves processes ongoing ends with one
+``update_injection_regions``, so every draw sees its region's exact size.
 
 Each run first tries ``_trial_pass``.  While every draw lands below its
-threshold at the batch's common initial size, no region regrows and the run
-reads one fixed sequence, checked a trial's draws and coins at a time.  At
-the shipped pass rate runs end there; a failed draw or the clock cap
-hands the run to the per-clock loop, from its first uniform.
+threshold at the batch's common initial size, no draw depends on regrowth
+and the run reads one fixed sequence, checked a trial's draws and coins at
+a time.  At the shipped pass rate runs end there; a failed draw or the clock
+cap hands the run to the per-clock loop, from its first uniform.
 
 Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
 generator states are computed by ``seeding`` in one batched pass per chunk
@@ -237,19 +229,6 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     return q
 
 
-def _regrow(pending, free, regions, grow, size, k, meas_left, now, q) -> None:
-    """Replay a run's pending regrowths in clock order, then refresh the
-    sizes, and the injection chances of the awaiting processes, that grew."""
-    for done in pending:
-        for pid in done:
-            free.bits |= regions.pop(pid)
-        for pid in update_injection_regions(free, regions, grow):
-            size[pid] = regions[pid].bit_count()
-            if not meas_left[pid]:
-                now[pid] = q(k[pid], size[pid])
-    pending.clear()
-
-
 def _refill(rng, blocks, buf, pos: int, drawn: int):
     """Drop the ``pos`` uniforms read from ``buf`` and append as many from
     ``rng``, as one more block: (buf, drawn, pos)."""
@@ -261,11 +240,11 @@ def _trial_pass(batch, q, first, adaptive: bool, rng, blocks, buf):
     """The run trial by trial while every draw lands below its threshold at
     the batch's common initial size; None leaves it to the clock loop.
 
-    Then no region regrows, and a trial reads one draw per ongoing process
-    (its injection in naive mode, its next trial's pre-injection in adaptive
-    mode), then one coin each.  Declines if the sizes differ, a draw fails or
-    a clock passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending to
-    ``blocks``) and evaluates q only where the clock loop does.
+    Then no draw depends on regrowth, and a trial reads one draw per ongoing
+    process (its injection in naive mode, its next trial's pre-injection in
+    adaptive mode), then one coin each.  Declines if the sizes differ, a draw
+    fails or a clock passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending
+    to ``blocks``) and evaluates q only where the clock loop does.
     """
     meas, size = batch[3], batch[5]
     m = len(first)
@@ -334,25 +313,18 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
         blocks = [rng.random(block)]
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
-    # while meas_left > 0 and awaiting an ancilla otherwise, and waiting
-    # counts the awaiting ones.  regions holds the ongoing regions and those
-    # of the completed processes in pending, which lists, per clock with
-    # completions and in clock order, the pids whose regrowth is deferred.
-    # size[pid] counts its region's patches as of the last replay, a lower
-    # bound while pending is non-empty, and now[pid] is an awaiting
-    # process's per-clock injection chance, exact at every draw.
+    # while meas_left > 0 and awaiting an ancilla otherwise.  In adaptive
+    # mode regions holds the ongoing regions, size[pid] counts its region's
+    # patches and now[pid] is an awaiting process's per-clock injection
+    # chance, both exact at every draw.
     live = dict.fromkeys(regions0)
     regions = dict(regions0)
-    pending: list[list[int]] = []
     size = list(size0)
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
     now = list(first)
-    waiting = m
     free = FreeCells(free0)
-    # the hot loop's names stay locals: regrow takes them as arguments
-    state = (pending, free, regions, grow, size, k, meas_left, now, q)
     t = 0
     while True:
         t += 1
@@ -364,11 +336,7 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
         for pid in live:
             if meas_left[pid]:
                 if adaptive and not buffered[pid]:
-                    if buf[pos] < q(k[pid] + 1, size[pid]):
-                        buffered[pid] = True
-                    elif pending:
-                        _regrow(*state)
-                        buffered[pid] = buf[pos] < q(k[pid] + 1, size[pid])
+                    buffered[pid] = buf[pos] < q(k[pid] + 1, size[pid])
                     pos += 1
                 meas_left[pid] -= 1
                 if not meas_left[pid]:
@@ -376,16 +344,17 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
             else:
                 if buf[pos] < now[pid]:
                     meas_left[pid] = meas_clocks
-                    waiting -= 1
                 pos += 1
         if not finishing:
             continue
-        done = []
+        done = False
         stale = []
         for pid in finishing:
             if buf[pos] < 0.5:
                 del live[pid]
-                done.append(pid)
+                if adaptive:
+                    free.bits |= regions.pop(pid)
+                done = True
             else:
                 k[pid] += 1
                 if buffered[pid]:
@@ -396,19 +365,17 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
             pos += 1
         if not live:
             return t, drawn + pos, max(k), blocks
-        # Thresholds of the awaiting processes whose trial changed, evaluated
-        # only if a next clock runs to need them; these success_prob calls
-        # come in pid order.  An awaiting process draws next clock, so its
-        # region's size must then be exact.
+        # Thresholds of the awaiting processes whose trial changed, then of
+        # those whose region grew, evaluated only if a next clock runs to
+        # need them; the first success_prob calls come in pid order.
         if t < MAX_RUN_CLOCKS:
             for pid in stale:
                 now[pid] = q(k[pid], size[pid])
-            waiting += len(stale)
-            if adaptive:
-                if done:
-                    pending.append(done)
-                if pending and waiting:
-                    _regrow(*state)
+            if adaptive and done:
+                for pid in update_injection_regions(free, regions, grow):
+                    size[pid] = regions[pid].bit_count()
+                    if not meas_left[pid]:
+                        now[pid] = q(k[pid], size[pid])
 
 
 def simulate_parallel_rus(
@@ -426,11 +393,11 @@ def simulate_parallel_rus(
     size, a = attempts per clock); a prepared ancilla starts its joint
     measurement on the next clock.  In adaptive mode processes pre-inject the
     next trial's ancilla during measurement clocks (one buffered state at
-    most) and regions regrow over freed patches whenever processes complete;
-    naive mode keeps the fixed initial regions and no pre-injection.  The
-    regrowth is deferred until a draw may depend on it, and a run whose
-    draws all succeed is checked trial by trial (module docstring); both
-    give the same completions as the per-clock rules below.
+    most), and a clock with completions ends by regrowing the ongoing
+    regions over the freed patches; naive mode keeps the fixed initial
+    regions and no pre-injection.  A run whose draws all succeed is checked
+    trial by trial (module docstring), with the same completions as the
+    per-clock rules below.
 
     Run i draws from the stream of ``np.random.default_rng((seed, i))`` in
     a fixed order, which every seeded output depends on; the runs' streams

@@ -14,6 +14,7 @@ import pytest
 import starsched
 from starsched import cli
 from starsched.cli import run
+from starsched.injection import ANGLE_CAP, effective_angle
 
 
 def test_avg_trials_first_row(tmp_path, capsys):
@@ -279,6 +280,11 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
         ["qcels-demo", "--trials", "1", "--seed", "-1"],
         ["simulate-rus", "--theta", "inf"],
         ["simulate-rus", "--theta=-inf"],
+        # past the largest angle trial 1 can prepare, effective_angle(ANGLE_CAP, k)
+        ["simulate-rus", "--theta", "3.2"],
+        ["simulate-rus", "--theta", "1e308"],
+        ["simulate-rus", "--theta=-0.8"],
+        ["simulate-rus", "--theta", "0.7853981633974483"],
     ],
 )
 def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
@@ -305,8 +311,8 @@ def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
         assert "data points per level" in err
     elif "--seed" in argv:
         assert "--seed" in err
-    elif argv[1].startswith("--theta"):
-        assert "--theta" in err
+    elif argv[1].startswith("--theta"):  # the option and its bound
+        assert "--theta" in err and repr(effective_angle(ANGLE_CAP, 3)) in err
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,14 @@ same regions and leave the same free set.
 coordinate sets, growing regions with ``reference_update_injection_regions``:
 one scalar ``rng.random()`` per draw and the per-clock injection chance
 recomputed at every use.  ``simulate_parallel_rus`` holds regions as
-bitmasks, reads the same uniforms from blocks, keeps each awaiting
-process's chance and regrows regions lazily: the completions' regrowth is
-replayed only once a process awaits an ancilla or a pre-injection draw lands
-at or above the threshold at the region size last known.  A draw below it
-succeeds at any larger size, since q(k, size) never falls as size grows.
-Both must return the same completions, or raise the same error, after the
-same ``success_prob`` calls.  ``_trial_pass`` runs a run trial by trial while
-every draw succeeds at the initial region size; patched to decline, it
-leaves every run to the clock loop, which must return the same clock,
-uniforms read, largest trial index and uniforms drawn.
+bitmasks, reads the same uniforms from blocks and keeps each awaiting
+process's chance.  Both regrow regions at the end of every clock with
+completions that leaves processes ongoing, and must return the same
+completions, or raise the same error, after the same ``success_prob`` calls.
+``_trial_pass`` runs a run trial by trial while every draw succeeds at the
+initial region size; patched to decline, it leaves every run to the clock
+loop, which must return the same clock, uniforms read, largest trial index
+and uniforms drawn, and regrow as often as the reference.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -44,7 +42,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starsched import injection, rus
@@ -427,16 +425,21 @@ def outcomes(*args, clock_cap=MAX_RUN_CLOCKS):
     return found
 
 
-@given(
+SIMULATION_CASES = dict(
     m=st.integers(1, 40),
     basis=st.sampled_from(["Z", "ZZ"]),
-    mode=st.sampled_from(["naive", "adaptive"]),
     log_p_pass=st.floats(-3, 0),
     attempts=st.integers(1, 3),
     # multi-word seeds too: from 2^32 up, (seed, run) spans 3 or more words
     seed=st.one_of(st.integers(0, 2**16), st.integers(2**32, 2**100)),
     runs=st.integers(1, 5),
     log_theta=st.one_of(st.just(-8.0), st.floats(-9, 0)),
+)
+
+
+@given(
+    **SIMULATION_CASES,
+    mode=st.sampled_from(["naive", "adaptive"]),
     clock_cap=st.one_of(st.just(MAX_RUN_CLOCKS), st.integers(1, 400)),
 )
 @settings(max_examples=150, deadline=None)
@@ -502,7 +505,8 @@ def test_batch_wider_than_block_matches_reference(mode):
 )
 @settings(max_examples=500, deadline=None)
 def test_injection_chance_never_falls_as_a_region_grows(p_pass, k, attempts, trial, size):
-    # the lower bound behind deferred regrowth: a region only grows
+    # the trial pass's assumption: a draw below its threshold at the initial
+    # region size would succeed at any size the region grows to
     q = rus._thresholds(1e-8, InjectionConfig(k=k, p_pass=p_pass, attempts_per_clock=attempts))
     assert q(trial, size) <= q(trial, size + 1)
 
@@ -544,6 +548,35 @@ def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
 def decline(*args):
     """A ``_trial_pass`` that leaves every run to the clock loop."""
     return None
+
+
+@given(**SIMULATION_CASES)
+@example(
+    m=32, basis="ZZ", log_p_pass=math.log10(0.3), attempts=3, seed=1, runs=5, log_theta=-8.0
+)
+@settings(max_examples=100, deadline=None)
+def test_clock_loop_regrows_at_every_clock_with_completions(
+    m, basis, log_p_pass, attempts, seed, runs, log_theta
+):
+    # the per-clock rule: one regrowth per clock whose completions leave
+    # processes ongoing, counted up to the error if a run raises
+    cfg = InjectionConfig(k=3, p_pass=10.0**log_p_pass, attempts_per_clock=attempts)
+    args = (m, basis, 10.0**log_theta, cfg, "adaptive", runs, seed)
+    calls = []
+    for simulate, namespace, kernel in (
+        (reference_simulate_parallel_rus, globals(), "reference_update_injection_regions"),
+        (simulate_parallel_rus, vars(rus), "update_injection_regions"),
+    ):
+        counted = mock.Mock(wraps=namespace[kernel])
+        with mock.patch.dict(namespace, {kernel: counted}):
+            with mock.patch.object(rus, "_trial_pass", decline):
+                try:
+                    simulate(*args)
+                except ValueError:  # AngleCapError
+                    pass
+        calls.append(counted.call_count)
+    reference, change = calls
+    assert change == reference
 
 
 def trial_pass_spy():
@@ -632,8 +665,8 @@ def test_rus_adaptive_shapes_never_enter_the_clock_loop():
 
 
 def test_shipped_pass_rate_never_regrows():
-    # q(k, 2) is 1.0 up to trial 10 here: no process awaits an ancilla after
-    # its first injection, and no pre-injection draw reaches its bound
+    # q(k, 2) is 1.0 up to trial 10 here: every run ends in the trial pass,
+    # which never regrows
     _, calls = regrowth_calls(100, "ZZ", 1e-8, CFG, "adaptive", 20, 0)
     assert calls == 0
 
