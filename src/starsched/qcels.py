@@ -4,8 +4,11 @@ The Hadamard test at evolution time t yields Z(t) = Σ_i p_i e^{-i λ_i t} up
 to sampling noise.  Each level fits a single complex exponential to N points
 spaced τ_j apart and halves the eigenphase search interval around the fit.
 Independent trials run together: each level's signals and fits are arrays of
-shape (trials, N).  numpy is imported inside the functions that use it, so
-importing this module (as the CLI does) does not load it.
+shape (trials, N).  A fit's grid scan screens its 200 points with a Horner
+polynomial in e^{iθh}, h the sample spacing, and takes exact exponentials only
+at the points the screen cannot rule out, so its argmax is that of the full
+scan bit for bit (``_grid_best``).  numpy is imported inside the functions
+that use it, so importing this module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
@@ -97,11 +100,114 @@ def synth_signal(
     return SignalSeries(np.array(times), values)
 
 
-# Complex elements in one block of the grid scan, (trials, grid, n_pairs): 4
-# trials at 5 points a level.  Trials with more points than fit in a block
-# are scanned one at a time, so a block never outgrows a one-trial scan.
+# Complex elements in one array of the grid scan: the screen's (trials, grid)
+# arrays hold 20 trials at 200 points, and the exact pass's (candidates,
+# n_pairs) arrays as many candidates as fit, or one if a series is longer.
 _GRID_POINTS = 200
 _GRID_BLOCK = 4 * _GRID_POINTS * 5
+
+
+def _grid_best(t: np.ndarray, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """For each row k, the first index of the largest of the full scan's
+    values |mean_n z[k, n] e^{i thetas[k, g] t_n}|, computed as
+    ``np.abs((z[k, None, :] * np.exp(1j * (thetas[k, :, None] * t))).mean(-1))``.
+
+    **Screen.**  The samples lie near t_0 + n·h, h = (t_{N-1} - t_0)/(N - 1),
+    so up to the unit factor e^{iθ_g t_0} the sum is a polynomial in w_g =
+    e^{iθ_g h}.  The screen's score is S_g = |Σ_n z_n w_g^n|, by Horner on
+    (trials, grid) arrays, with w_g = w_0·ρ^g a cumulative product of ρ =
+    e^{iΔh}, Δ = θ_1 - θ_0: two exponentials a trial.
+
+    **Margin.**  Let V_g be N times the value the full scan computes, P = 200
+    grid points, Z = Σ|z_n|, Θ = max_g |θ_g|, T = max|t_n|, u = 2^-53, and
+    γ(m) = mu/(1 - mu).  Take a complex exponential to lie within 4u of
+    exact, and a complex product within 3u of exact in relative terms (√5 u
+    unfused, 2u fused).  Then |V_g - S_g| ≤ B, where B is Z times the sum of
+      * Horner's rounding, N - 1 products and N sums a term: γ(4N)·(1 + p);
+      * w's error raised to the power N - 1: p = (1 + e)^{N-1} - 1, where
+        |w_g - e^{iθ_g h}| ≤ e = (4P + 3(P - 1))u + |h|·(G(1 + 2u) + 3u(Θ +
+        (P - 1)|Δ|)): the two exponentials and the P - 1 products of the
+        cumulative product, the rounding of θ_0·h and Δ·h, and the largest
+        deviation G of the grid from θ_0 + g·Δ, as computed, with the
+        rounding of that computation;
+      * Θ times the largest deviation D of t from t_0 + n·h, computed the
+        same way: a non-uniform t widens the margin, costing speed, never
+        correctness;
+      * the full scan's own rounding: uΘT for θ·t, and u(N + 16) for the
+        exponential, the product, the N-term mean and the modulus, the
+        screen's modulus included;
+
+    plus 32N·2^-1074·(1 + p) for gradual underflow.  Each term is first
+    order in u; the second-order remainders, and the roundings of B's own
+    evaluation, are relative errors of order Nu.  The margin is 100·B, so
+    the bound holds with 100× headroom.
+
+    **Exact pass.**  Every point with S_g ≥ max S - 200·B is a candidate: if
+    g* maximizes V and m maximizes S, S_{g*} ≥ V_{g*} - B ≥ V_m - B ≥ S_m -
+    2B.  So every maximizer of V is a candidate, and the argmax (first on
+    ties) over the candidates' values is the full scan's.  A row whose
+    bound or screen is not finite (NaN, overflow) or whose Z reaches
+    2^1000, where the sums could overflow, makes all its points
+    candidates.  The candidates' values come from the full scan's
+    expression, in chunks of at most ``_GRID_BLOCK`` elements, and equal its
+    values bit for bit.
+    """
+    import numpy as np
+
+    u = 2.0**-53
+    n, points = t.size, thetas.shape[1]
+    index = np.arange(max(n, points), dtype=float)
+    rows = max(1, _GRID_BLOCK // points)
+    big, g_dev, zsum = np.empty(len(z)), np.empty(len(z)), np.zeros(len(z))
+    with np.errstate(all="ignore"):  # a non-finite bound scans its row in full
+        h = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+        t_max = np.abs(t).max()
+        t_dev = np.abs(t - (t[0] + index[:n] * h)).max() * (1 + 2 * u) + 2 * u * (
+            t_max + (n - 1) * abs(h)
+        )
+        for b in range(0, len(z), rows):
+            th = thetas[b : b + rows]
+            big[b : b + rows] = np.abs(th).max(axis=1)
+            g_dev[b : b + rows] = np.abs(
+                th - (th[:, :1] + index[:points] * (th[:, 1:2] - th[:, :1]))
+            ).max(axis=1)
+            for k in range(n):
+                zsum[b : b + rows] += np.abs(z[b : b + rows, k])
+        e = (4 * points + 3 * (points - 1)) * u + abs(h) * (
+            g_dev * (1 + 2 * u)
+            + 3 * u * (big + (points - 1) * np.abs(thetas[:, 1] - thetas[:, 0]))
+        )
+        power = np.expm1((n - 1) * np.log1p(e))
+        horner = 4 * n * u / (1 - 4 * n * u)
+        bound = zsum * (
+            horner * (1 + power) + power + big * t_dev + u * (big * t_max + n + 16)
+        ) + 32 * n * 2.0**-1074 * (1 + power)
+    bound[~(zsum < 2.0**1000)] = math.nan
+    best = np.empty(len(z), dtype=np.intp)
+    per_chunk = max(1, _GRID_BLOCK // n)
+    for b in range(0, len(z), rows):
+        zb, th = z[b : b + rows], thetas[b : b + rows]
+        with np.errstate(all="ignore"):
+            w = np.empty(th.shape, dtype=complex)
+            w[:, 0] = np.exp(1j * (th[:, 0] * h))
+            w[:, 1:] = np.exp(1j * ((th[:, 1] - th[:, 0]) * h))[:, None]
+            np.cumprod(w, axis=1, out=w)
+            score = np.empty(th.shape, dtype=complex)
+            score[:] = zb[:, -1, None]
+            for k in range(n - 2, -1, -1):
+                score *= w
+                score += zb[:, k, None]
+            score = np.abs(score)
+            floor = score.max(axis=1) - 200 * bound[b : b + rows]
+            keep = score >= floor[:, None]
+        keep[~np.isfinite(floor)] = True
+        ri, gi = np.nonzero(keep)
+        score.fill(-math.inf)
+        for c in range(0, ri.size, per_chunk):
+            r, g = ri[c : c + per_chunk], gi[c : c + per_chunk]
+            score[r, g] = np.abs((zb[r] * np.exp(1j * (th[r, g, None] * t))).mean(axis=-1))
+        best[b : b + rows] = score.argmax(axis=1)
+    return best
 
 
 def qcels_fit(
@@ -112,7 +218,10 @@ def qcels_fit(
 
     For fixed θ the optimal amplitude is r = mean(Z_n e^{+i t_n θ}), and the
     loss is minimized exactly where |r(θ)| is maximized; a 200-point grid
-    scan is polished by Newton steps around the best grid point.  Every
+    scan is polished by Newton steps around the best grid point.  The scan
+    screens the grid with a Horner polynomial and takes exact exponentials
+    only where a derived error margin cannot rule a point out, so its best
+    point is that of the full scan bit for bit (``_grid_best``).  Every
     trial is fitted as if alone: each one stops its Newton steps by its own
     rules, and the arithmetic is arranged so that the estimates equal, bit
     for bit, those of fitting one trial at a time.
@@ -128,12 +237,7 @@ def qcels_fit(
         raise ValueError("empty series")
     rows = np.arange(len(z))
     thetas = np.linspace(lo, hi, _GRID_POINTS, axis=1)
-    best = np.empty(len(z), dtype=np.intp)
-    block = max(1, _GRID_BLOCK // (_GRID_POINTS * t.size))
-    for b in range(0, len(z), block):
-        grid = z[b : b + block, None, :] * np.exp(1j * (thetas[b : b + block, :, None] * t))
-        best[b : b + block] = np.abs(grid.mean(axis=-1)).argmax(axis=1)
-        del grid  # before the next block is allocated
+    best = _grid_best(t, z, thetas)
     step = thetas[:, 1] - thetas[:, 0]
     theta = thetas[rows, best]
     # Newton refinement on g(θ) = d|r|²/dθ, which vanishes at the peak.

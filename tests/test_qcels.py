@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from starsched.estimator import QcelsParams
 from starsched.qcels import (
+    _GRID_BLOCK,
+    _GRID_POINTS,
     SyntheticSpectrum,
+    _grid_best,
     multilevel_qcels,
     qcels_fit,
     synth_signal,
@@ -158,6 +161,82 @@ def test_batched_fit_matches_reference(
         assert np.array(got).tobytes() == np.array(expected).tobytes()
     else:
         assert got == expected
+
+
+def reference_grid_best(t, z, thetas):
+    """The full scan: every grid point's exponentials, in blocks."""
+    best = np.empty(len(z), dtype=np.intp)
+    block = max(1, _GRID_BLOCK // (_GRID_POINTS * t.size))
+    for b in range(0, len(z), block):
+        grid = z[b : b + block, None, :] * np.exp(1j * (thetas[b : b + block, :, None] * t))
+        best[b : b + block] = np.abs(grid.mean(axis=-1)).argmax(axis=1)
+        del grid  # before the next block is allocated
+    return best
+
+
+@st.composite
+def grid_scans(draw):
+    """(t, z, thetas) of one level: a one- or multi-phase series, noiseless
+    or noisy, perhaps with non-finite entries, and per-trial grids, often
+    centred on a phase, where a noiseless series ties its mirrored points."""
+    n = draw(st.sampled_from([*range(1, 10), 2000]))
+    tau = 10.0 ** draw(st.floats(-2, 3))
+    trials = draw(st.integers(1, 2 if n == 2000 else 30))
+    spectrum = draw(spectra())
+    t = np.array([i * tau for i in range(n)])
+    clean = sum(
+        p * np.exp(-1j * lam * t) for p, lam in zip(spectrum.weights, spectrum.phases)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-3, 0.1]))
+    z = clean + noise * (rng.normal(size=(trials, n)) + 1j * rng.normal(size=(trials, n)))
+    bad = st.sampled_from([math.nan, math.inf, -math.inf, 1j * math.inf])
+    for value in draw(st.lists(bad, max_size=2)):
+        z[rng.integers(trials), rng.integers(n)] = value
+    centre = draw(st.one_of(st.sampled_from(spectrum.phases), st.floats(-math.pi, math.pi)))
+    half = draw(
+        st.one_of(st.sampled_from([math.pi, math.pi / (2 * tau)]), st.floats(1e-9, 4.0))
+    )
+    jitter = draw(st.sampled_from([0.0, half / 3]))
+    lo = centre - half + jitter * rng.uniform(-1, 1, trials)
+    thetas = np.linspace(lo, lo + 2 * half, _GRID_POINTS, axis=1)
+    return t, z, thetas
+
+
+def mirrored_tie():
+    """A noiseless single-phase series on a grid centred on its phase: the
+    mirrored points 99 and 100 tie up to rounding, and the screen's own
+    argmax is not the full scan's."""
+    t = np.arange(5) * 0.3
+    thetas = np.linspace([0.7 - math.pi], [0.7 + math.pi], _GRID_POINTS, axis=1)
+    return t, np.exp(-0.7j * t)[None, :], thetas
+
+
+@given(scan=grid_scans())
+@settings(max_examples=300, deadline=None)
+@example(scan=mirrored_tie())
+def test_grid_scan_matches_full_scan(scan):
+    t, z, thetas = scan
+    with np.errstate(all="ignore"):
+        expected = reference_grid_best(t, z, thetas)
+        got = _grid_best(t, z, thetas)
+    assert got.tolist() == expected.tolist()
+
+
+def test_grid_scan_takes_few_exponentials(monkeypatch):
+    """The full scan of ``qcels-demo`` takes 8 levels × 100 trials × 200
+    points × 5 pairs = 800,000 complex exponentials; the screened scan and
+    the Newton steps together take under 5 % of that."""
+    exp = np.exp
+    elements = []
+
+    def counted(x, *args, **kwargs):
+        elements.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    multilevel_qcels(FIVE_PHASE, 0.01, seeds=range(100))
+    assert 0 < sum(elements) < 0.05 * 800_000
 
 
 def test_grid_scan_holds_no_more_than_a_one_trial_fit():

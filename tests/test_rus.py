@@ -520,19 +520,18 @@ def regrowth_calls(*args) -> tuple[tuple[int, ...], int]:
     return completions, kernel.call_count
 
 
-@pytest.mark.parametrize("m", [1, 7, 32, 100])
-@pytest.mark.parametrize("basis", ["Z", "ZZ"])
-def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
+def trial_count_mismatches(m, basis, trial_pass):
+    """Runs 0..199 at seed 0 whose completion clock breaks the per-run law
+    of the shipped pass rate, each run through ``trial_pass`` first."""
     # at SHIPPED_CONFIGS[9] an injection clock fails with chance 2.7e-15 at
     # trial 1 (7.1e-10 at trial 10), so a run's completion clock is fixed by
     # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive.
-    # The clock loop runs every run: the trial pass assumes this law.
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
     first = [q(1, n) for n in batch[4]]
     meas = len(basis)
     mismatches = []
-    with mock.patch.object(rus, "_trial_pass", decline):
+    with mock.patch.object(rus, "_trial_pass", trial_pass):
         for i in range(200):
             adaptive, _, k, _ = rus._simulate_run(
                 batch, q, first, True, generate_states([(0, i)])[0], i
@@ -542,7 +541,23 @@ def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
             )
             if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
                 mismatches.append((i, adaptive, k, naive, k_naive))
-    assert mismatches == []
+    return mismatches
+
+
+@pytest.mark.parametrize("m", [1, 7, 32, 100])
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
+    # The clock loop runs every run: the trial pass assumes this law.
+    assert trial_count_mismatches(m, basis, decline) == []
+
+
+@pytest.mark.parametrize("m", [1, 7, 32, 100])
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+def test_trial_pass_completion_follows_trial_count(m, basis):
+    # the same law through the trial pass, which ends every run
+    spy, log = trial_pass_spy()
+    assert trial_count_mismatches(m, basis, spy) == []
+    assert len(log) == 400 and set(log) == {"done"}
 
 
 def decline(*args):
@@ -734,7 +749,7 @@ def test_adaptive_goldens_follow_the_finish_law():
 
 
 @pytest.mark.parametrize("basis", ["Z", "ZZ"])
-def test_low_pass_rate_replays_regrowth(basis):
+def test_low_pass_rate_regrows(basis):
     args = (12, basis, 1e-8, replace(CFG, p_pass=0.02), "adaptive", 20, 4)
     completions, calls = regrowth_calls(*args)
     assert calls > 0
