@@ -8,6 +8,7 @@ All eigenphases are normalized by π/λ so the spectrum fits in [-π, π).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,10 @@ def normalize(value: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class QcelsParams:
-    """Parameters of a J-level phase-estimation run."""
+    """Parameters of a J-level phase-estimation run.
+
+    ``levels`` and the level spacings ``tau`` are computed once per instance,
+    when ``__post_init__`` checks them, and read from then on."""
 
     delta: float
     n_pairs: int
@@ -61,27 +65,37 @@ class QcelsParams:
                 f"overflows the fit (pairs {self.n_pairs}, eps {self.eps_qcels_norm})"
             )
 
-    @property
+    @functools.cached_property
     def levels(self) -> int:
         return math.ceil(math.log2(1 / self.eps_qcels_norm)) + 1
 
-    @property
+    @functools.cached_property
     def tau(self) -> tuple[float, ...]:
         c = math.ceil(math.log2(1 / self.eps_qcels_norm))
         base = self.delta / (self.n_pairs * self.eps_qcels_norm)
         return tuple(2.0 ** (j - 1 - c) * base for j in range(1, self.levels + 1))
 
 
-def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> int:
-    """Steps per unit evolution time at level j: ceil((τ_j/2)·sqrt(W̃/ε̃_T))."""
+def _step_root(w_norm: float, eps_t_norm: float) -> float:
+    """sqrt(W̃/ε̃_T), the Trotter steps per unit of τ/2."""
     if w_norm <= 0 or eps_t_norm <= 0:
         raise ValueError("error norm and budget must be positive")
+    return math.sqrt(w_norm / eps_t_norm)
+
+
+def _level_steps(tau_j: float, root: float) -> int:
+    """ceil((τ_j/2)·root), at least 1, for ``root`` from ``_step_root``."""
     # A calibrated W̃ makes x an integer in exact arithmetic, which rounding can
     # leave up to 4 ulps above; the shave of x·2^-48 (16 to 32 ulps) keeps ceil
     # from adding a step.  It drops one only where x's fraction is below the
     # shave, which build_report rejects for a calibrated W̃.
-    x = tau_j / 2 * math.sqrt(w_norm / eps_t_norm)
+    x = tau_j / 2 * root
     return max(1, math.ceil(x * (1 - 2**-48)))
+
+
+def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> int:
+    """Steps per unit evolution time at level j: ceil((τ_j/2)·sqrt(W̃/ε̃_T))."""
+    return _level_steps(tau_j, _step_root(w_norm, eps_t_norm))
 
 
 def total_steps(
@@ -92,13 +106,15 @@ def total_steps(
 
     Level j measures N data pairs at times n·τ_j (n = 0..N-1); each time
     point costs n·N_j steps and is sampled N_s times for each of the real
-    and imaginary parts.
+    and imaginary parts.  N_j is ``trotter_steps_per_level``, with the root
+    taken once for all levels.
     """
     n, ns = params.n_pairs, params.n_samples
+    root = _step_root(w_norm, eps_t_norm)
     total = 0
     n_last = 1
     for tau_j in params.tau:
-        n_j = trotter_steps_per_level(tau_j, w_norm, eps_t_norm)
+        n_j = _level_steps(tau_j, root)
         total += 2 * ns * n_j * (n * (n - 1) // 2)
         n_last = n_j
     return total, n * n_last

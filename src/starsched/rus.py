@@ -110,7 +110,8 @@ def update_injection_regions(
     one with the fewest patches at the start of the ring, ties to the lower
     pid: claimants go in (size, pid) order, each taking the free cells next
     to it that no earlier one took.  Only regions next to a free cell join
-    the first ring, and only those that gained join the next.  ``regions``
+    the first ring, and only those that gained join the next, while any
+    free cell is left.  ``regions``
     grows in place and ``free.bits`` loses the cells; returns the pids whose
     regions grew.
     """
@@ -126,7 +127,7 @@ def update_injection_regions(
                 regions[pid] |= got
                 claimed.append(pid)
         grown.update(claimed)
-        ring = claimed
+        ring = claimed if avail else []
     free.bits = avail
     return grown
 

@@ -44,6 +44,25 @@ def test_levels_formula():
     assert params.levels == math.ceil(math.log2(1 / 0.01)) + 1
 
 
+def fresh_schedule(params):
+    """The level count and spacings of ``params``, computed from its fields
+    afresh on every call."""
+    c = math.ceil(math.log2(1 / params.eps_qcels_norm))
+    base = params.delta / (params.n_pairs * params.eps_qcels_norm)
+    return c + 1, tuple(2.0 ** (j - 1 - c) * base for j in range(1, c + 2))
+
+
+@given(delta=st.floats(1e-3, 10.0), n_pairs=st.integers(2, 10**6), eps=st.floats(1e-9, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_cached_schedule_equals_a_fresh_one(delta, n_pairs, eps):
+    params = QcelsParams(delta, n_pairs, 100, eps)
+    assert (params.levels, params.tau) == fresh_schedule(params)
+    assert params.tau is params.tau and len(params.tau) == params.levels
+    # the cache is no field: equality and hashing still see the four fields only
+    twin = QcelsParams(delta, n_pairs, 100, eps)
+    assert twin == params and hash(twin) == hash(params)
+
+
 def test_steps_per_level_monotone():
     params = QcelsParams(0.06, 5, 100, 0.01)
     steps = [trotter_steps_per_level(t, 1e4, 0.003) for t in params.tau]
@@ -81,11 +100,67 @@ def summed_total_steps(params, w_norm, eps_t_norm):
     eps=st.floats(1e-4, 1.0),
     w_norm=st.floats(1e-3, 1e8),
     eps_t=st.floats(1e-6, 1.0),
+    n_max_target=st.one_of(st.none(), st.integers(2, 10**5)),
 )
-@settings(max_examples=200, deadline=None)
-def test_total_steps_matches_summed_loop(delta, n_pairs, n_samples, eps, w_norm, eps_t):
+@settings(max_examples=300, deadline=None)
+def test_total_steps_matches_summed_loop(
+    delta, n_pairs, n_samples, eps, w_norm, eps_t, n_max_target
+):
+    if n_max_target is not None:  # a calibrated W̃, where the 2^-48 shave decides
+        w_norm = calibrate_w_norm(n_max_target, eps, eps_t, delta)
     params = QcelsParams(delta, n_pairs, n_samples, eps)
     assert total_steps(params, w_norm, eps_t) == summed_total_steps(params, w_norm, eps_t)
+
+
+def reference_optimize_split(eps_targ, lam, w_norm, delta, n_pairs, n_samples):
+    """``optimize_split`` as it was before ``QcelsParams`` cached its level
+    schedule: every budget fraction recomputes the spacings and takes the
+    square root once per level."""
+    if min(eps_targ, lam, w_norm, delta) <= 0 or n_pairs < 2:
+        raise InfeasibleModel("budget, norms and pair count must be positive")
+
+    def evaluate(frac):
+        eps_q = frac * eps_targ
+        eps_t = eps_targ - eps_q
+        params = QcelsParams(delta, n_pairs, n_samples, normalize(eps_q, lam))
+        eps_t_norm = normalize(eps_t, lam)
+        total, n_last = 0, 1
+        for tau_j in fresh_schedule(params)[1]:
+            x = tau_j / 2 * math.sqrt(w_norm / eps_t_norm)
+            n_last = max(1, math.ceil(x * (1 - 2**-48)))
+            total += 2 * n_samples * n_last * (n_pairs * (n_pairs - 1) // 2)
+        return total, n_pairs * n_last
+
+    best_frac, best = 2 / 3, evaluate(2 / 3)
+    for i in range(81):
+        frac = 0.40 + 0.50 * i / 80
+        cand = evaluate(frac)
+        if cand[0] < best[0]:
+            best_frac, best = frac, cand
+    eps_q = best_frac * eps_targ
+    return eps_q, eps_targ - eps_q, best[0], best[1]
+
+
+@given(
+    eps_targ=st.floats(1e-4, 1.0),
+    lam=st.floats(4.0, 2000.0),  # keeps ε̃_Q = ε_Q·π/λ at most 1
+    w_norm=st.floats(1e-3, 1e8),
+    delta=st.floats(0.01, 0.5),
+    n_pairs=st.integers(2, 2000),
+    n_samples=st.integers(0, 1000),
+    n_max_target=st.one_of(st.none(), st.integers(2, 10**5)),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_matches_the_uncached_loop(
+    eps_targ, lam, w_norm, delta, n_pairs, n_samples, n_max_target
+):
+    if n_max_target is not None:  # as build_report calibrates W̃
+        eps_q = 2 / 3 * eps_targ
+        w_norm = calibrate_w_norm(
+            n_max_target, normalize(eps_q, lam), normalize(eps_targ - eps_q, lam), delta
+        )
+    args = (eps_targ, lam, w_norm, delta, n_pairs, n_samples)
+    assert optimize_split(*args) == reference_optimize_split(*args)
 
 
 def test_split_at_a_huge_pair_count_is_fast():

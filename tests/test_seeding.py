@@ -45,6 +45,92 @@ def test_states_and_streams_match_numpy(batch):
         assert ours.normal(size=5).tolist() == numpys.normal(size=5).tolist()
 
 
+# the words of the array path: 0 and 2^32 - 1 often, as Python or numpy ints
+WORDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2**32 - 1]).map(np.uint32),
+    st.integers(0, 2**32 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+
+
+@st.composite
+def word_lists(draw):
+    """Lists of 1 to CHUNK + 1 words, or of tuples of 1 to 6 words (the pool
+    holds 4) all of one length: the lists taken in one array pass.  A few
+    drawn entropies repeat through the list, and every seventh one counts
+    up, as the (seed, i) of run i does."""
+    size = draw(st.integers(1, seeding.CHUNK + 1))
+    width = draw(st.sampled_from([None, 1, 2, 2, 3, 4, 5, 6]))
+    entropy = WORDS if width is None else st.tuples(*[WORDS] * width)
+    drawn = draw(st.lists(entropy, min_size=1, max_size=8))
+
+    def counted(i):
+        return i if width is None else (*drawn[0][:-1], i)
+
+    return [drawn[i % len(drawn)] if i % 7 else counted(i) for i in range(size)]
+
+
+@contextlib.contextmanager
+def words_appended():
+    """Count the entropies split into words one at a time."""
+    spy = mock.Mock(wraps=seeding._append_words)
+    with mock.patch.object(seeding, "_append_words", spy):
+        yield spy
+
+
+@given(word_lists())
+@settings(max_examples=60, deadline=None)
+def test_word_lists_match_numpy_in_one_pass(batch):
+    with words_appended() as appended:
+        got = generate_states(batch)
+    assert appended.call_count == 0
+    expected = [np.random.SeedSequence(e).generate_state(4, np.uint64).tolist() for e in batch]
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [(0, 1), (True, 2), (3, 4)],  # a Python bool is the int 1 to SeedSequence
+        [True, False, 7],
+        [(0, 1), (np.True_, 2)],  # a numpy bool is not an int to it
+        [np.True_],
+        [(0, 1), (2**32, 1)],
+        [5, 2**32, 2**64 - 1, 2**64],
+        [(0, 1), (2,), (3, 4)],
+        [(0, 1), ((2, 3), 4)],
+        [(0, 1), [2, 3]],
+        [(), ()],
+        [(0, 1), (-1, 2), (1.0, 2)],
+        [3, -(2**70), 2.0],
+        [(0, 1), (1.0, 2), (-1, 2)],
+        [np.uint64(2**64 - 1), np.int64(-1)],
+    ],
+)
+def test_other_lists_fall_back_to_numpys_states_and_errors(batch):
+    expected = []
+    for entropy in batch:
+        try:
+            expected.append(np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+        except (TypeError, ValueError) as error:
+            with pytest.raises(type(error)) as ours:
+                generate_states(batch)
+            assert str(ours.value) == str(error)
+            return
+    assert generate_states(batch).tolist() == np.array(expected).tolist()
+
+
+def test_run_and_trial_seeds_are_never_split_one_by_one():
+    with words_appended() as appended:
+        generate_states([(2**32 - 1, i) for i in range(seeding.CHUNK + 1)])
+        simulate_parallel_rus(32, "Z", 1e-8, CFG, "adaptive", runs=30, seed=9)
+        multilevel_qcels(SyntheticSpectrum((-0.5, 0.9), (0.8, 0.2)), 0.05, seeds=range(30))
+    assert appended.call_count == 0
+
+
 @given(
     negative=st.one_of(st.integers(-(2**70), -1), st.integers(-(2**63), -1).map(np.int64)),
     before=st.lists(INTS, max_size=3),
