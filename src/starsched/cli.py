@@ -10,7 +10,8 @@ Subcommands:
 
 Tables are written as CSV and summaries as JSON.
 Exit codes: 0 success, 1 validation error, 2 infeasible model or usage error.
-All outputs are written atomically (temp file + rename); the same argv and
+Outputs to regular files are written atomically (temp file + rename), through
+a symlink to its target, and to a FIFO or device in place; the same argv and
 seed always produce byte-identical files.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import statistics
 import sys
 import tempfile
@@ -33,21 +35,38 @@ from .trotter import compile_step, rough_t_rus, serial_clocks, trotter_clocks
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+    """Write ``text`` where ``path`` points.
 
-    The file gets the mode a plain open() would give it (0666 less the
-    umask), not mkstemp's 0600.  An OSError names ``path``, not the temp file.
+    A regular file, or a new one, is written via a temp file in its directory,
+    then renamed over it; it gets the mode a plain open() would give it (0666
+    less the umask), not mkstemp's 0600.  A symlink is resolved first, so it
+    stays a link and its target, even a missing one, gets the bytes.  Any
+    other file (a FIFO, a device) is written in place by a plain open(), with
+    no temp file and no rename.  An OSError names ``path``, not the temp file
+    or the link's target.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    target = path
     tmp = None
     try:
+        try:
+            mode = os.lstat(path).st_mode
+            if stat.S_ISLNK(mode):
+                target = os.path.realpath(path)
+                mode = os.stat(target).st_mode
+        except FileNotFoundError:  # a new file, or a dangling link's target
+            mode = stat.S_IFREG
+        if not stat.S_ISREG(mode):
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        directory = os.path.dirname(os.path.abspath(target))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)

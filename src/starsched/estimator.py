@@ -8,11 +8,10 @@ All eigenphases are normalized by π/λ so the spectrum fits in [-π, π).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 from .hubbard import HubbardSpec, one_norm
 from .injection import SHIPPED_CONFIGS, InfeasibleModel, pec_sampling_factor, rus_error_rate
@@ -28,52 +27,66 @@ def normalize(value: float, lam: float) -> float:
     return value * (math.pi / lam)
 
 
+def _checked_schedule(
+    delta: float, n_pairs: int, n_samples: int, eps_qcels_norm: float
+) -> tuple[int, float]:
+    """Check a J-level run's parameters and return c = ⌈log2(1/ε̃_Q)⌉ and
+    base = δ/(N·ε̃_Q).
+
+    The run has L = c + 1 levels with spacings τ_j = 2^(j-1-c)·base for
+    j = 1..L, so τ_L = base and every τ_j is finite iff the first is.
+    ``QcelsParams`` and ``optimize_split`` both check through here, so a bad
+    input fails either way with the same error and message.
+    """
+    if not 0 < eps_qcels_norm <= 1:
+        raise ValueError(f"QCELS precision must be in (0, 1], got {eps_qcels_norm}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"QCELS delta must be a finite positive number, got {delta}")
+    if n_samples < 0:
+        raise ValueError(f"QCELS sample count must be at least 0, got {n_samples}")
+    if n_pairs < 2:
+        raise ValueError(f"QCELS data points per level must be at least 2, got {n_pairs}")
+    c = math.ceil(math.log2(1 / eps_qcels_norm))
+    base = delta / (n_pairs * eps_qcels_norm)
+    tau_0 = 2.0**-c * base
+    if not math.isfinite(tau_0):
+        raise ValueError(
+            f"QCELS level spacing tau_0 must be finite, got {tau_0} for "
+            f"delta {delta}, pairs {n_pairs}, eps {eps_qcels_norm}"
+        )
+    # The fit adds sums of n_pairs terms t²·Z; 16 covers noisy |Z| up to 2.
+    t_last = (n_pairs - 1) * base
+    if not math.isfinite(16 * n_pairs * t_last * t_last):
+        raise ValueError(
+            f"QCELS delta {delta} is too large: sample time {t_last:.4g} squared "
+            f"overflows the fit (pairs {n_pairs}, eps {eps_qcels_norm})"
+        )
+    return c, base
+
+
 @dataclass(frozen=True)
 class QcelsParams:
     """Parameters of a J-level phase-estimation run.
 
-    ``levels`` and the level spacings ``tau`` are computed once per instance,
-    when ``__post_init__`` checks them, and read from then on."""
+    ``levels`` and the level spacings ``tau`` are no fields: ``__post_init__``
+    sets them once, when it checks the four fields, and equality and hashing
+    see the four fields only."""
 
     delta: float
     n_pairs: int
     n_samples: int
     eps_qcels_norm: float
+    levels: int = field(init=False, repr=False, compare=False)
+    tau: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eps_qcels_norm <= 1:
-            raise ValueError(f"QCELS precision must be in (0, 1], got {self.eps_qcels_norm}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"QCELS delta must be a finite positive number, got {self.delta}")
-        if self.n_samples < 0:
-            raise ValueError(f"QCELS sample count must be at least 0, got {self.n_samples}")
-        if self.n_pairs < 2:
-            raise ValueError(
-                f"QCELS data points per level must be at least 2, got {self.n_pairs}"
-            )
-        for j, tau_j in enumerate(self.tau):
-            if not math.isfinite(tau_j):
-                raise ValueError(
-                    f"QCELS level spacing tau_{j} must be finite, got {tau_j} for "
-                    f"delta {self.delta}, pairs {self.n_pairs}, eps {self.eps_qcels_norm}"
-                )
-        # The fit adds sums of n_pairs terms t²·Z; 16 covers noisy |Z| up to 2.
-        t_last = (self.n_pairs - 1) * self.tau[-1]
-        if not math.isfinite(16 * self.n_pairs * t_last * t_last):
-            raise ValueError(
-                f"QCELS delta {self.delta} is too large: sample time {t_last:.4g} squared "
-                f"overflows the fit (pairs {self.n_pairs}, eps {self.eps_qcels_norm})"
-            )
-
-    @functools.cached_property
-    def levels(self) -> int:
-        return math.ceil(math.log2(1 / self.eps_qcels_norm)) + 1
-
-    @functools.cached_property
-    def tau(self) -> tuple[float, ...]:
-        c = math.ceil(math.log2(1 / self.eps_qcels_norm))
-        base = self.delta / (self.n_pairs * self.eps_qcels_norm)
-        return tuple(2.0 ** (j - 1 - c) * base for j in range(1, self.levels + 1))
+        c, base = _checked_schedule(
+            self.delta, self.n_pairs, self.n_samples, self.eps_qcels_norm
+        )
+        object.__setattr__(self, "levels", c + 1)
+        object.__setattr__(
+            self, "tau", tuple(2.0 ** (j - 1 - c) * base for j in range(1, c + 2))
+        )
 
 
 def _step_root(w_norm: float, eps_t_norm: float) -> float:
@@ -98,6 +111,45 @@ def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> i
     return _level_steps(tau_j, _step_root(w_norm, eps_t_norm))
 
 
+def _level_sum(c: int, base: float, root: float) -> tuple[int, int]:
+    """Σ_j N_j over the L = c + 1 levels τ_j = 2^(j-1-c)·base, and N_L, where
+    N_j = ``_level_steps(τ_j, root)``: O(1) work whatever L.
+
+    **Identity.**  Level j's step count ceil(((τ_j/2)·root)·s), s = 1 - 2^-48,
+    scales a product by 2^(j-2-c) at each of its three roundings.  While
+    every intermediate is a normal float, scaling by a power of two commutes
+    with rounding, so N_j = ⌈z/2^m⌉ with z = (base·root)·s rounded once and
+    m = L + 1 - j.  With Y = ⌈z⌉ - 1 (z > 0), ⌈z/2^m⌉ = (Y ≫ m) + 1, and
+    Σ_{m≥1} (Y ≫ m) = Y - popcount(Y), so summing m = 1..L gives
+        Σ_j N_j = L + Y - popcount(Y) - (Y ≫ L) + popcount(Y ≫ L),
+        N_L = (Y ≫ 1) + 1.
+    The ``max(1, ·)`` of ``_level_steps`` never acts, since Y ≥ 0.
+
+    **Guard.**  The largest intermediates are base and base·root; the
+    smallest are 2^-(c+1)·base and 2^-(c+1)·z.  So the identity is exact when
+    base·root is finite and 2^-(c+1)·min(base, z) ≥ 2^-1022, which the
+    comparison with 2^(c-1021), a power of two for every c a checked run can
+    have (c ≤ 1024), tests without rounding.
+
+    **Fallback.**  Any other input (overflow, underflow, NaN, subnormal
+    spacings) sums the levels one by one with ``_level_steps``, the same
+    computation as the per-level ``trotter_steps_per_level``, so it returns,
+    or raises, exactly what that loop does.
+    """
+    z = base * root
+    if math.isfinite(z):
+        z *= 1 - 2**-48
+        if min(base, z) >= 2.0 ** (c - 1021):
+            y = math.ceil(z) - 1
+            high = y >> (c + 1)
+            return c + 1 + y - y.bit_count() - high + high.bit_count(), (y >> 1) + 1
+    total = n_j = 0
+    for j in range(1, c + 2):
+        n_j = _level_steps(2.0 ** (j - 1 - c) * base, root)
+        total += n_j
+    return total, n_j
+
+
 def total_steps(
     params: QcelsParams, w_norm: float, eps_t_norm: float
 ) -> tuple[int, int]:
@@ -106,18 +158,18 @@ def total_steps(
 
     Level j measures N data pairs at times n·τ_j (n = 0..N-1); each time
     point costs n·N_j steps and is sampled N_s times for each of the real
-    and imaginary parts.  N_j is ``trotter_steps_per_level``, with the root
-    taken once for all levels.
+    and imaginary parts, so the total is 2·N_s·(N(N-1)/2)·Σ_j N_j.  N_j is
+    ``trotter_steps_per_level``.  ``_level_sum`` takes Σ_j N_j and N_L from
+    z = base·root·(1 - 2^-48) and Y = ⌈z⌉ - 1 in closed form, Σ_j N_j =
+    L + Y - popcount(Y) - (Y ≫ L) + popcount(Y ≫ L) and N_L = (Y ≫ 1) + 1,
+    where a guard shows every intermediate is a normal float; elsewhere it
+    runs the level loop itself, so every result and error is the loop's.
     """
-    n, ns = params.n_pairs, params.n_samples
-    root = _step_root(w_norm, eps_t_norm)
-    total = 0
-    n_last = 1
-    for tau_j in params.tau:
-        n_j = _level_steps(tau_j, root)
-        total += 2 * ns * n_j * (n * (n - 1) // 2)
-        n_last = n_j
-    return total, n * n_last
+    n = params.n_pairs
+    level_sum, n_last = _level_sum(
+        params.levels - 1, params.tau[-1], _step_root(w_norm, eps_t_norm)
+    )
+    return 2 * params.n_samples * (n * (n - 1) // 2) * level_sum, n * n_last
 
 
 def optimize_split(
@@ -134,15 +186,23 @@ def optimize_split(
     continuous relaxation (steps ∝ ε_Q⁻¹·ε_T^(-1/2)) has its optimum at
     ε_Q = (2/3)ε_targ; a local grid over the ceiling-induced plateaus
     refines it.  Returns (ε_Q, ε_T, N_total, N_max) with ε in λ units.
+
+    Each fraction is priced as ``total_steps`` of its ``QcelsParams`` would
+    price it, with the same checks and errors, but builds no dataclass:
+    ``_checked_schedule`` gives c and base, and ``_level_sum`` the level sum
+    in O(1).
     """
     if min(eps_targ, lam, w_norm, delta) <= 0 or n_pairs < 2:
         raise InfeasibleModel("budget, norms and pair count must be positive")
+    scale = math.pi / lam  # as normalize scales
+    per_step = 2 * n_samples * (n_pairs * (n_pairs - 1) // 2)
 
     def evaluate(frac: float) -> tuple[int, int]:
         eps_q = frac * eps_targ
         eps_t = eps_targ - eps_q
-        params = QcelsParams(delta, n_pairs, n_samples, normalize(eps_q, lam))
-        return total_steps(params, w_norm, normalize(eps_t, lam))
+        c, base = _checked_schedule(delta, n_pairs, n_samples, eps_q * scale)
+        level_sum, n_last = _level_sum(c, base, _step_root(w_norm, eps_t * scale))
+        return per_step * level_sum, n_pairs * n_last
 
     best_frac, best = 2 / 3, evaluate(2 / 3)
     for i in range(81):

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -101,6 +102,70 @@ def test_outputs_follow_umask(tmp_path):
     assert code == 0
     assert stat.S_IMODE(timeline.stat().st_mode) == 0o644
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_symlink_output_writes_its_target(tmp_path):
+    plain, target, link = tmp_path / "plain.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    assert run(["compare-serial", "--n", "4", "--out", str(plain)]) == 0
+    target.write_text("old bytes\n")
+    link.symlink_to(target.name)
+    assert run(["compare-serial", "--n", "4", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain.csv", "target.csv"]
+
+
+def test_dangling_symlink_output_creates_its_target(tmp_path):
+    link = tmp_path / "link.txt"
+    link.symlink_to("missing.txt")
+    cli.write_atomic(str(link), "bytes\n")
+    assert link.is_symlink()
+    assert (tmp_path / "missing.txt").read_text() == "bytes\n"
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # daemon: a write that never opens the FIFO leaves the reader blocked
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cli.write_atomic(str(fifo), "through the pipe\n")
+    reader.join(timeout=10)
+    assert received == [b"through the pipe\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+# Spacings this small put the smallest level's half spacing below 2^-1022, so
+# the budget split sums the levels one by one instead of in closed form.
+LEVEL_LOOP_REPORT = """{
+ "d": 7,
+ "eps_qcels": 0.006666666666666666,
+ "eps_trotter": 0.003333333333333334,
+ "k": 3,
+ "levels": 13,
+ "max_runtime_s": 0.009515259727766867,
+ "n": 4,
+ "n_max": 5,
+ "n_qubit": 6370,
+ "n_total": 26000,
+ "one_norm": 64.0,
+ "steps_per_level": [
+""" + ",\n".join(["  1"] * 13) + """
+ ],
+ "t_trotter": 271.86456365048195,
+ "total_runtime_s": 54.211350584387716,
+ "w_norm": 1.0
+}"""
+
+
+def test_estimate_through_the_level_loop(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qcels": {"delta": 1e-307}, "trotter": {"w_norm": 1.0}}))
+    out = tmp_path / "report.json"
+    assert run(["estimate", "--n", "4", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == LEVEL_LOOP_REPORT + "\n"
 
 
 def test_estimate_exit_codes(tmp_path):

@@ -3,11 +3,13 @@
 import json
 import math
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from starsched import estimator
 from starsched.estimator import (
     EstimatorConfig,
     InfeasibleModel,
@@ -93,23 +95,62 @@ def summed_total_steps(params, w_norm, eps_t_norm):
     return total, params.n_pairs * n_last
 
 
+def log_uniform(lo: float, hi: float):
+    """Floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# c = 10 (ε̃_Q = 2^-10, 11 levels) and base = 2^(c-1021): the smallest
+# spacing's half, 2^-(c+1)·base, is exactly 2^-1022, the least normal float
+AT_GUARD = (2.0**-1020, 2, 3, 2.0**-10)
+BELOW_GUARD = (math.nextafter(2.0**-1020, 0), 2, 3, 2.0**-10)
+
+
+def total_steps_outcome(delta, n_pairs, n_samples, eps, w_norm, eps_t, steps):
+    return outcome(lambda: steps(QcelsParams(delta, n_pairs, n_samples, eps), w_norm, eps_t))
+
+
 @given(
-    delta=st.floats(0.01, 0.5),
-    n_pairs=st.integers(2, 2000),
+    delta=st.one_of(st.floats(0.01, 0.5), log_uniform(1e-300, 1e300)),
+    n_pairs=st.integers(2, 2000),  # summed_total_steps sums range(n_pairs)
     n_samples=st.integers(0, 1000),
-    eps=st.floats(1e-4, 1.0),
-    w_norm=st.floats(1e-3, 1e8),
-    eps_t=st.floats(1e-6, 1.0),
-    n_max_target=st.one_of(st.none(), st.integers(2, 10**5)),
+    eps=st.one_of(st.floats(1e-4, 1.0), log_uniform(1e-300, 1.0)),
+    w_norm=st.one_of(st.floats(1e-3, 1e8), log_uniform(1e-300, 1e300)),
+    eps_t=st.one_of(st.floats(1e-6, 1.0), log_uniform(1e-300, 1e300)),
+    n_max_target=st.one_of(st.none(), st.integers(2, 10**18)),
 )
+@example(*AT_GUARD, 4.0, 1.0, None)  # closed form at its guard's edge
+@example(*BELOW_GUARD, 4.0, 1.0, None)  # level loop just past it
+@example(0.06, 5, 100, 0.01, 1e-300, 1e300, None)  # the root underflows to 0
+@example(0.06, 5, 100, 0.01, 1e300, 1e-300, None)  # the root overflows: OverflowError
+@example(5e-324, 5, 100, 1.0, 1e300, 1e-300, None)  # base 0, root inf: ValueError
+@example(0.06, 5, 100, 1.5, 1.0, 1.0, None)  # each QcelsParams message
+@example(math.inf, 5, 100, 0.01, 1.0, 1.0, None)
+@example(0.06, 5, -1, 0.01, 1.0, 1.0, None)
+@example(0.06, 1, 100, 0.01, 1.0, 1.0, None)
+@example(1e300, 5, 100, 1e-10, 1.0, 1.0, None)
+@example(1e152, 5, 100, 0.002, 1.0, 1.0, None)
+@example(0.06, 5, 100, 1e-320, 1.0, 1.0, None)  # 1/eps overflows: OverflowError
 @settings(max_examples=300, deadline=None)
 def test_total_steps_matches_summed_loop(
     delta, n_pairs, n_samples, eps, w_norm, eps_t, n_max_target
 ):
     if n_max_target is not None:  # a calibrated W̃, where the 2^-48 shave decides
-        w_norm = calibrate_w_norm(n_max_target, eps, eps_t, delta)
-    params = QcelsParams(delta, n_pairs, n_samples, eps)
-    assert total_steps(params, w_norm, eps_t) == summed_total_steps(params, w_norm, eps_t)
+        w = outcome(calibrate_w_norm, n_max_target, eps, eps_t, delta)
+        if isinstance(w, float) and 0 < w < math.inf:
+            w_norm = w
+    args = (delta, n_pairs, n_samples, eps, w_norm, eps_t)
+    assert total_steps_outcome(*args, total_steps) == total_steps_outcome(
+        *args, summed_total_steps
+    )
 
 
 def reference_optimize_split(eps_targ, lam, w_norm, delta, n_pairs, n_samples):
@@ -142,25 +183,86 @@ def reference_optimize_split(eps_targ, lam, w_norm, delta, n_pairs, n_samples):
 
 
 @given(
-    eps_targ=st.floats(1e-4, 1.0),
-    lam=st.floats(4.0, 2000.0),  # keeps ε̃_Q = ε_Q·π/λ at most 1
-    w_norm=st.floats(1e-3, 1e8),
-    delta=st.floats(0.01, 0.5),
-    n_pairs=st.integers(2, 2000),
-    n_samples=st.integers(0, 1000),
-    n_max_target=st.one_of(st.none(), st.integers(2, 10**5)),
+    eps_targ=st.one_of(st.floats(1e-4, 1.0), log_uniform(1e-300, 1.0)),
+    lam=st.one_of(st.floats(4.0, 2000.0), log_uniform(1e-300, 1e300)),
+    w_norm=st.one_of(st.floats(1e-3, 1e8), log_uniform(1e-300, 1e300)),
+    delta=st.one_of(st.floats(0.01, 0.5), log_uniform(1e-300, 1e300)),
+    n_pairs=st.one_of(st.integers(2, 2000), st.integers(2, 10**300)),
+    n_samples=st.one_of(st.integers(0, 1000), st.integers(0, 10**300)),
+    n_max_target=st.one_of(st.none(), st.integers(2, 10**18)),
 )
+@example(0.01, 64.0, 1e4, 0.06, 5, 100, None)  # a paper-sized split: closed form
+@example(0.01, 64.0, 1.0, 1e-307, 5, 100, None)  # spacings below 2^-1022: level loop
+@example(0.01, 64.0, 1e-300, 1e-300, 5, 100, None)  # base·root underflows to 0
+@example(1e-20, 64.0, 1e300, 0.06, 5, 100, None)  # the root overflows: OverflowError
+@example(0.01, 64.0, 1e4, 0.06, 10**308, 100, None)  # N·ε̃_Q: OverflowError
+@example(0.01, 1e-3, 1e4, 0.06, 5, 100, None)  # each QcelsParams message it can reach
+@example(0.01, 64.0, 1e4, math.inf, 5, 100, None)
+@example(0.01, 64.0, 1e4, 0.06, 5, -1, None)
+@example(1e-10, 64.0, 1e4, 1e300, 5, 100, None)
+@example(0.01, 64.0, 1e4, 1e150, 5, 100, None)
 @settings(max_examples=150, deadline=None)
 def test_split_matches_the_uncached_loop(
     eps_targ, lam, w_norm, delta, n_pairs, n_samples, n_max_target
 ):
     if n_max_target is not None:  # as build_report calibrates W̃
         eps_q = 2 / 3 * eps_targ
-        w_norm = calibrate_w_norm(
-            n_max_target, normalize(eps_q, lam), normalize(eps_targ - eps_q, lam), delta
+        w = outcome(
+            calibrate_w_norm,
+            n_max_target,
+            normalize(eps_q, lam),
+            normalize(eps_targ - eps_q, lam),
+            delta,
         )
+        if isinstance(w, float) and 0 < w < math.inf:
+            w_norm = w
     args = (eps_targ, lam, w_norm, delta, n_pairs, n_samples)
-    assert optimize_split(*args) == reference_optimize_split(*args)
+    assert outcome(optimize_split, *args) == outcome(reference_optimize_split, *args)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ((0.06, 5, 100, 1.5), "QCELS precision must be in (0, 1], got 1.5"),
+        ((math.inf, 5, 100, 0.01), "QCELS delta must be a finite positive number, got inf"),
+        ((0.06, 5, -1, 0.01), "QCELS sample count must be at least 0, got -1"),
+        ((0.06, 1, 100, 0.01), "QCELS data points per level must be at least 2, got 1"),
+        (
+            (1e300, 5, 100, 1e-10),
+            "QCELS level spacing tau_0 must be finite, got inf for delta 1e+300, "
+            "pairs 5, eps 1e-10",
+        ),
+        (
+            (1e152, 5, 100, 0.002),
+            "QCELS delta 1e+152 is too large: sample time 4e+154 squared overflows "
+            "the fit (pairs 5, eps 0.002)",
+        ),
+    ],
+)
+def test_each_qcels_check_names_its_input(params, message):
+    with pytest.raises(ValueError) as exc:
+        QcelsParams(*params)
+    assert str(exc.value) == message
+
+
+def test_closed_form_and_level_loop_each_run():
+    # the level loop is the only caller of _level_steps in either function
+    expect = {
+        args: summed_total_steps(QcelsParams(*args), 4.0, 1.0)
+        for args in (AT_GUARD, BELOW_GUARD)
+    }
+    with mock.patch.object(
+        estimator, "_level_steps", wraps=estimator._level_steps
+    ) as spy:
+        assert total_steps(QcelsParams(*AT_GUARD), 4.0, 1.0) == expect[AT_GUARD]
+        assert spy.call_count == 0
+        assert total_steps(QcelsParams(*BELOW_GUARD), 4.0, 1.0) == expect[BELOW_GUARD]
+        assert spy.call_count == 11  # c + 1 levels
+        spy.reset_mock()
+        optimize_split(0.01, 64.0, 1e4)
+        assert spy.call_count == 0
+        optimize_split(0.01, 64.0, 1.0, delta=1e-307)
+        assert spy.called
 
 
 def test_split_at_a_huge_pair_count_is_fast():
