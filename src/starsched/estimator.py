@@ -106,11 +106,6 @@ def _level_steps(tau_j: float, root: float) -> int:
     return max(1, math.ceil(x * (1 - 2**-48)))
 
 
-def trotter_steps_per_level(tau_j: float, w_norm: float, eps_t_norm: float) -> int:
-    """Steps per unit evolution time at level j: ceil((τ_j/2)·sqrt(W̃/ε̃_T))."""
-    return _level_steps(tau_j, _step_root(w_norm, eps_t_norm))
-
-
 def _level_sum(c: int, base: float, root: float) -> tuple[int, int]:
     """Σ_j N_j over the L = c + 1 levels τ_j = 2^(j-1-c)·base, and N_L, where
     N_j = ``_level_steps(τ_j, root)``: O(1) work whatever L.
@@ -132,9 +127,9 @@ def _level_sum(c: int, base: float, root: float) -> tuple[int, int]:
     have (c ≤ 1024), tests without rounding.
 
     **Fallback.**  Any other input (overflow, underflow, NaN, subnormal
-    spacings) sums the levels one by one with ``_level_steps``, the same
-    computation as the per-level ``trotter_steps_per_level``, so it returns,
-    or raises, exactly what that loop does.
+    spacings) sums the levels one by one with ``_level_steps``, the twin of
+    ``build_report``'s per-level loop, so it returns, or raises, exactly what
+    that loop does.
     """
     z = base * root
     if math.isfinite(z):
@@ -148,28 +143,6 @@ def _level_sum(c: int, base: float, root: float) -> tuple[int, int]:
         n_j = _level_steps(2.0 ** (j - 1 - c) * base, root)
         total += n_j
     return total, n_j
-
-
-def total_steps(
-    params: QcelsParams, w_norm: float, eps_t_norm: float
-) -> tuple[int, int]:
-    """Total Trotter steps over all Hadamard-test circuits, and the largest
-    single-circuit step count.
-
-    Level j measures N data pairs at times n·τ_j (n = 0..N-1); each time
-    point costs n·N_j steps and is sampled N_s times for each of the real
-    and imaginary parts, so the total is 2·N_s·(N(N-1)/2)·Σ_j N_j.  N_j is
-    ``trotter_steps_per_level``.  ``_level_sum`` takes Σ_j N_j and N_L from
-    z = base·root·(1 - 2^-48) and Y = ⌈z⌉ - 1 in closed form, Σ_j N_j =
-    L + Y - popcount(Y) - (Y ≫ L) + popcount(Y ≫ L) and N_L = (Y ≫ 1) + 1,
-    where a guard shows every intermediate is a normal float; elsewhere it
-    runs the level loop itself, so every result and error is the loop's.
-    """
-    n = params.n_pairs
-    level_sum, n_last = _level_sum(
-        params.levels - 1, params.tau[-1], _step_root(w_norm, eps_t_norm)
-    )
-    return 2 * params.n_samples * (n * (n - 1) // 2) * level_sum, n * n_last
 
 
 def optimize_split(
@@ -187,10 +160,10 @@ def optimize_split(
     ε_Q = (2/3)ε_targ; a local grid over the ceiling-induced plateaus
     refines it.  Returns (ε_Q, ε_T, N_total, N_max) with ε in λ units.
 
-    Each fraction is priced as ``total_steps`` of its ``QcelsParams`` would
-    price it, with the same checks and errors, but builds no dataclass:
-    ``_checked_schedule`` gives c and base, and ``_level_sum`` the level sum
-    in O(1).
+    Level j runs N data points at times n·τ_j (n = 0..N-1), each n·N_j steps
+    and sampled N_s times per real and imaginary part, so N_total =
+    2·N_s·(N(N-1)/2)·Σ_j N_j and N_max = N·N_L, with the sums from
+    ``_level_sum``.
     """
     if min(eps_targ, lam, w_norm, delta) <= 0 or n_pairs < 2:
         raise InfeasibleModel("budget, norms and pair count must be positive")
@@ -419,8 +392,8 @@ def build_report(
             f"the largest circuit comes out at {n_max} steps"
         )
     params = QcelsParams(cfg.delta, cfg.n_pairs, cfg.n_samples, normalize(eps_q, lam))
-    eps_t_norm = normalize(eps_t, lam)
-    steps = [trotter_steps_per_level(t, w_norm, eps_t_norm) for t in params.tau]
+    root = _step_root(w_norm, normalize(eps_t, lam))
+    steps = [_level_steps(t, root) for t in params.tau]
 
     clocks_per_circuit = controlled_circuit_clocks(n_max, t_trotter)
     if cfg.d_override is not None:

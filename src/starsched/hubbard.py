@@ -102,7 +102,7 @@ def _band_order(n: int, phase: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split_shared(n: int, loc_a: set, loc_b: set) -> tuple[tuple, tuple]:
+def _split_shared(loc_a: set, loc_b: set) -> tuple[tuple, tuple]:
     """Partition the grid edges into A-local and B-local execution sets.
 
     Edges local to only one ordering are forced; edges local to both are
@@ -148,9 +148,7 @@ def default_orderings(n: int) -> OrderingPair:
         raise ValueError(f"lattice size must be at least 2, got {n}")
     order_a = _band_order(n, 0)
     order_b = _band_order(n, 1)
-    edges_a, edges_b = _split_shared(
-        n, _local_edges(order_a, n), _local_edges(order_b, n)
-    )
+    edges_a, edges_b = _split_shared(_local_edges(order_a, n), _local_edges(order_b, n))
     missing = sorted(set(grid_edges(n)) - set(edges_a) - set(edges_b))
     if missing:
         raise OrderingError(f"grid edges local to neither ordering: {missing}")

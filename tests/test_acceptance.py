@@ -23,7 +23,6 @@ from starsched.estimator import (
     choose_distance,
     normalize,
     optimize_split,
-    total_steps,
 )
 from starsched.fabric import build_grid, validate
 from starsched.hubbard import HubbardSpec, _odd_even_route, default_orderings, one_norm, route_orderings

@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from starsched import estimator
@@ -22,9 +22,8 @@ from starsched.estimator import (
     optimize_split,
     parse_config,
     pec_factor,
-    total_steps,
-    trotter_steps_per_level,
 )
+from starsched.estimator import _level_steps, _level_sum, _step_root
 
 
 def test_level_times_double_and_hit_budget():
@@ -67,32 +66,31 @@ def test_cached_schedule_equals_a_fresh_one(delta, n_pairs, eps):
 
 def test_steps_per_level_monotone():
     params = QcelsParams(0.06, 5, 100, 0.01)
-    steps = [trotter_steps_per_level(t, 1e4, 0.003) for t in params.tau]
+    steps = [_level_steps(t, _step_root(1e4, 0.003)) for t in params.tau]
     assert steps == sorted(steps)
     assert steps[0] >= 1
 
 
+def closed_form_steps(params, w_norm, eps_t_norm):
+    """Σ_j N_j and N_L of ``params``'s levels, as ``_level_sum`` gives them."""
+    return _level_sum(params.levels - 1, params.tau[-1], _step_root(w_norm, eps_t_norm))
+
+
 def test_total_steps_oracle():
-    # direct re-summation over levels and data points
+    # direct re-summation over levels
     params = QcelsParams(0.06, 3, 10, 0.02)
     w, eps_t = 5e3, 0.005
-    total, n_max = total_steps(params, w, eps_t)
-    expect_total = 0
-    for tau in params.tau:
-        n_j = max(1, math.ceil(tau / 2 * math.sqrt(w / eps_t)))
-        expect_total += sum(2 * 10 * n_j * i for i in range(3))
-    n_last = max(1, math.ceil(params.tau[-1] / 2 * math.sqrt(w / eps_t)))
-    assert total == expect_total
-    assert n_max == 3 * n_last
+    level_sum, n_last = closed_form_steps(params, w, eps_t)
+    expect_sum = sum(max(1, math.ceil(tau / 2 * math.sqrt(w / eps_t))) for tau in params.tau)
+    assert level_sum == expect_sum
+    assert n_last == max(1, math.ceil(params.tau[-1] / 2 * math.sqrt(w / eps_t)))
 
 
 def summed_total_steps(params, w_norm, eps_t_norm):
-    """``total_steps`` summing the data points' step counts one by one."""
-    total = n_last = 0
-    for tau_j in params.tau:
-        n_last = trotter_steps_per_level(tau_j, w_norm, eps_t_norm)
-        total += 2 * params.n_samples * n_last * sum(range(params.n_pairs))
-    return total, params.n_pairs * n_last
+    """Σ_j N_j and N_L, summing the levels' step counts one by one."""
+    root = _step_root(w_norm, eps_t_norm)
+    steps = [_level_steps(tau_j, root) for tau_j in params.tau]
+    return sum(steps), steps[-1]
 
 
 def log_uniform(lo: float, hi: float):
@@ -120,7 +118,7 @@ def total_steps_outcome(delta, n_pairs, n_samples, eps, w_norm, eps_t, steps):
 
 @given(
     delta=st.one_of(st.floats(0.01, 0.5), log_uniform(1e-300, 1e300)),
-    n_pairs=st.integers(2, 2000),  # summed_total_steps sums range(n_pairs)
+    n_pairs=st.integers(2, 2000),  # enters through base and the checks
     n_samples=st.integers(0, 1000),
     eps=st.one_of(st.floats(1e-4, 1.0), log_uniform(1e-300, 1.0)),
     w_norm=st.one_of(st.floats(1e-3, 1e8), log_uniform(1e-300, 1e300)),
@@ -148,7 +146,7 @@ def test_total_steps_matches_summed_loop(
         if isinstance(w, float) and 0 < w < math.inf:
             w_norm = w
     args = (delta, n_pairs, n_samples, eps, w_norm, eps_t)
-    assert total_steps_outcome(*args, total_steps) == total_steps_outcome(
+    assert total_steps_outcome(*args, closed_form_steps) == total_steps_outcome(
         *args, summed_total_steps
     )
 
@@ -220,6 +218,44 @@ def test_split_matches_the_uncached_loop(
     assert outcome(optimize_split, *args) == outcome(reference_optimize_split, *args)
 
 
+# the paper's four calibrations, as test_acceptance runs them
+PAPER_N_MAX = {4: 3397, 6: 5051, 8: 6750, 10: 8538}
+
+
+@given(
+    n=st.integers(2, 10),
+    n_pairs=st.integers(2, 8),
+    n_samples=st.integers(1, 50),
+    eps_targ=st.one_of(st.floats(1e-3, 1.0), log_uniform(1e-6, 1.0)),
+    delta=st.one_of(st.floats(0.01, 0.5), log_uniform(1e-307, 1e-2)),
+    w_norm=st.one_of(st.none(), log_uniform(1e-6, 1e8)),
+    n_max_target=st.integers(8, 10**6),  # the calibration target when W̃ is None
+)
+@example(4, 5, 100, 0.01, 0.06, None, PAPER_N_MAX[4])
+@example(6, 5, 100, 0.01, 0.06, None, PAPER_N_MAX[6])
+@example(8, 5, 100, 0.01, 0.06, None, PAPER_N_MAX[8])
+@example(10, 5, 100, 0.01, 0.06, None, PAPER_N_MAX[10])
+@example(4, 5, 100, 0.01, 1e-307, 1.0, 8)  # spacings below 2^-1022: level loop
+@settings(max_examples=150, deadline=None)
+def test_report_step_counts_agree(
+    n, n_pairs, n_samples, eps_targ, delta, w_norm, n_max_target
+):
+    # n_total and n_max come from the split's _level_sum, steps_per_level from
+    # build_report's own per-level loop
+    cfg = EstimatorConfig(
+        delta=delta, n_pairs=n_pairs, n_samples=n_samples, eps_targ=eps_targ, w_norm=w_norm
+    )
+    target = n_max_target if w_norm is None else None
+    try:
+        report = build_report(n, cfg, calibrate_nmax=target)
+    except InfeasibleModel:  # no report: W̃ or the mitigation overhead overflows
+        reject()
+    steps = report.steps_per_level
+    assert report.n_total == 2 * n_samples * math.comb(n_pairs, 2) * sum(steps)
+    assert report.n_max == n_pairs * steps[-1]
+    assert report.levels == len(steps)
+
+
 @pytest.mark.parametrize(
     "params, message",
     [
@@ -254,9 +290,9 @@ def test_closed_form_and_level_loop_each_run():
     with mock.patch.object(
         estimator, "_level_steps", wraps=estimator._level_steps
     ) as spy:
-        assert total_steps(QcelsParams(*AT_GUARD), 4.0, 1.0) == expect[AT_GUARD]
+        assert closed_form_steps(QcelsParams(*AT_GUARD), 4.0, 1.0) == expect[AT_GUARD]
         assert spy.call_count == 0
-        assert total_steps(QcelsParams(*BELOW_GUARD), 4.0, 1.0) == expect[BELOW_GUARD]
+        assert closed_form_steps(QcelsParams(*BELOW_GUARD), 4.0, 1.0) == expect[BELOW_GUARD]
         assert spy.call_count == 11  # c + 1 levels
         spy.reset_mock()
         optimize_split(0.01, 64.0, 1e4)
