@@ -111,7 +111,8 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     Initially the spin-up orbital of site i sits at (0, i) and the spin-down
     orbital at the vertically adjacent (1, i); rows 2 and 3 start free.  The
     optional phase-estimation ancilla patch attaches to the routing region at
-    the right edge.
+    the right edge.  Cells are keyed row by row, the ancilla last, so
+    ``list(cells)[r * n * n + c]`` is (r, c).
     """
     if n < 2:
         raise ValueError(f"lattice size must be at least 2, got {n}")
@@ -128,7 +129,7 @@ def build_grid(n: int, with_qpe_ancilla: bool = False) -> PatchGrid:
     return PatchGrid(cells, qpe)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryOp:
     kind: str
     participants: tuple[Coord, ...]
@@ -153,12 +154,17 @@ class Timeline:
         "participants", "duration"}: a finite float goes through
         ``float.__repr__`` as in ``json.encoder`` (so ``np.float64(3)`` writes
         ``3.0``) and a coord is ``[r, c]`` (``[true, 0]`` for a bool).  The
-        text after the start is built once per op object and the text before
-        it once per run of ops sharing one start object; both caches key by
-        identity, because equal values can print differently (``3``, ``3.0``;
-        ``0.0``, ``-0.0``).
+        text of a coord is built once per coord object, the text after the
+        start once per op object and the text before it once per run of ops
+        sharing one start object; each line goes out as those two fragments.
+        All three caches key by identity, because equal values can print
+        differently (``3``, ``3.0``; ``0.0``, ``-0.0``; ``(1, 0)``,
+        ``(True, 0)``).  The coord cache holds each coord it keys, so no id
+        is freed and reused for another coord during the call.
         """
         kinds: dict[str, str] = {}
+        coords: dict[int, str] = {}  # id(coord) -> its text
+        held: list[Coord] = []  # every coord keyed in ``coords``
         tails: dict[int, str] = {}  # id(op) -> line text after the start
         lines = []
         last, head = object(), ""  # no start is that object
@@ -170,16 +176,23 @@ class Timeline:
             if tail is None:
                 if op.kind not in kinds:
                     kinds[op.kind] = json.dumps(op.kind)
-                parts = ", ".join([
-                    json.dumps([r, c]) if type(r) is bool or type(c) is bool
-                    else f"[{r}, {c}]"
-                    for r, c in op.participants
-                ])
+                texts = []
+                for coord in op.participants:
+                    text = coords.get(id(coord))
+                    if text is None:
+                        r, c = coord
+                        text = coords[id(coord)] = (
+                            json.dumps([r, c]) if type(r) is bool or type(c) is bool
+                            else f"[{r}, {c}]"
+                        )
+                        held.append(coord)
+                    texts.append(text)
                 tail = tails[id(op)] = (
-                    f'{kinds[op.kind]}, "participants": [{parts}], '
+                    f'{kinds[op.kind]}, "participants": [{", ".join(texts)}], '
                     f'"duration": {_json_number(op.duration)}}}\n'
                 )
-            lines.append(head + tail)
+            lines.append(head)
+            lines.append(tail)
         return "".join(lines)
 
 

@@ -68,9 +68,8 @@ class OrderingPair:
     edges_b: tuple[tuple[int, int], ...]
 
 
-def _local_edges(order: tuple[int, ...], n: int) -> set[tuple[int, int]]:
-    """Grid edges whose endpoints sit on adjacent line positions."""
-    grid = set(grid_edges(n))
+def _local_edges(order: tuple[int, ...], grid: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Edges of ``grid`` whose endpoints sit on adjacent line positions."""
     out = set()
     for p in range(len(order) - 1):
         e = tuple(sorted((order[p], order[p + 1])))
@@ -86,19 +85,17 @@ def _band_order(n: int, phase: int) -> tuple[int, ...]:
     each band sorted by col - row descending.  The two phases (0 and 1)
     produce complementary orderings: horizontal and vertical edges swap
     their locality between them.
+
+    A band is built from its two anti-diagonals lo and hi = lo + 1: the site
+    of row r on hi has col - row one above the one on lo, and both exceed
+    those of every later row, so walking the rows takes (r, hi - r) then
+    (r, lo - r).
     """
     out: list[int] = []
-    sites = [(r, c) for r in range(n) for c in range(n)]
-    maxd = 2 * (n - 1)
-    k = 0
-    while True:
-        lo, hi = 2 * k - 1 + phase, 2 * k + phase
-        band = [s for s in sites if lo <= s[0] + s[1] <= hi]
-        if not band and lo > maxd:
-            break
-        band.sort(key=lambda s: s[1] - s[0], reverse=True)
-        out.extend(r * n + c for r, c in band)
-        k += 1
+    for lo in range(phase - 1, 2 * n - 1, 2):
+        hi = lo + 1
+        for r in range(max(0, lo - n + 1), min(hi, n - 1) + 1):
+            out.extend(r * n + c for c in (hi - r, lo - r) if 0 <= c < n)
     return tuple(out)
 
 
@@ -148,8 +145,9 @@ def default_orderings(n: int) -> OrderingPair:
         raise ValueError(f"lattice size must be at least 2, got {n}")
     order_a = _band_order(n, 0)
     order_b = _band_order(n, 1)
-    edges_a, edges_b = _split_shared(_local_edges(order_a, n), _local_edges(order_b, n))
-    missing = sorted(set(grid_edges(n)) - set(edges_a) - set(edges_b))
+    grid = set(grid_edges(n))
+    edges_a, edges_b = _split_shared(_local_edges(order_a, grid), _local_edges(order_b, grid))
+    missing = sorted(grid - set(edges_a) - set(edges_b))
     if missing:
         raise OrderingError(f"grid edges local to neither ordering: {missing}")
     return OrderingPair(n, order_a, order_b, edges_a, edges_b)

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -86,6 +87,22 @@ def test_compile_trotter_timeline_written_atomically(tmp_path):
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["timeline.jsonl"]
     assert timeline.read_text() == compile_step(3).timeline.to_jsonl()
+
+
+# SHA-256 of compile-trotter --timeline past the perfbench goldens (which
+# stop at n = 10), in sha256sum format: "<digest>  step_n<N>_<mode>.jsonl"
+with open(os.path.join(os.path.dirname(__file__), "timeline_digests.sha256")) as fh:
+    PINNED_TIMELINES = {name: digest for digest, name in map(str.split, fh)}
+
+
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+@pytest.mark.parametrize("n", range(11, 21))
+def test_timeline_bytes_are_pinned(tmp_path, n, mode):
+    name = f"step_n{n}_{mode}.jsonl"
+    timeline = tmp_path / name
+    argv = ["compile-trotter", "--n", str(n), "--mode", mode, "--timeline", str(timeline)]
+    assert run(argv + ["--out", str(tmp_path / "summary.json")]) == 0
+    assert hashlib.sha256(timeline.read_bytes()).hexdigest() == PINNED_TIMELINES[name]
 
 
 def test_outputs_follow_umask(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsched import trotter
 from starsched.fabric import (
     CATALOG,
     SurgeryOp,
@@ -288,11 +289,16 @@ COORD = st.one_of(st.integers(-(10**6), 10**6), st.booleans())
 COORDS = st.tuples(COORD, COORD)
 
 
+# coords that are equal but print differently: a text cache keyed by value
+# would merge them
+LOOK_ALIKE_COORDS = ((1, 0), (True, 0), (0, 1), (0, True))
+
+
 @st.composite
-def any_op(draw):
+def any_op(draw, coords=COORDS):
     kind = draw(st.one_of(st.text(), st.sampled_from(sorted(CATALOG))))
     duration = CATALOG[kind] if kind in CATALOG else draw(CLOCKS)
-    parts = tuple(draw(st.lists(COORDS, max_size=5)))
+    parts = tuple(draw(st.lists(coords, max_size=5)))
     return draw(CLOCKS), SurgeryOp(kind, parts, duration)
 
 
@@ -300,8 +306,12 @@ def any_op(draw):
 def any_timeline(draw):
     """Ops from ``any_op``, then, as ``compile_step`` reuses them, some of
     those op objects again at other starts, some start objects again for
-    other ops, and look-alike twins (an equal op of another duration type)."""
-    ops = draw(st.lists(any_op(), max_size=8))
+    other ops, and look-alike twins (an equal op of another duration type).
+    As ``compile_step`` takes coords from its grid, the ops draw most coords
+    from one shared pool of objects, look-alike coords among them."""
+    pool = draw(st.lists(COORDS, min_size=1, max_size=6)) + list(LOOK_ALIKE_COORDS)
+    coords = st.one_of(st.sampled_from(pool), COORDS)
+    ops = draw(st.lists(any_op(coords), max_size=8))
     tl = Timeline()
     for start, op in ops:
         tl.add(start, op)
@@ -327,8 +337,13 @@ def test_jsonl_matches_reference_on_any_ops(tl):
 
 
 def test_jsonl_writes_bool_coords_as_json():
+    # and look-alike coords apart, each coord object shared by several ops
+    assert len({id(c) for c in LOOK_ALIKE_COORDS}) == len(LOOK_ALIKE_COORDS)
+    shared = [LOOK_ALIKE_COORDS[i:] + LOOK_ALIKE_COORDS[:i] for i in range(4)]
     tl = Timeline([(0.0, SurgeryOp("x", ((True, 0), (1, False)), 1.0))])
+    tl.ops += [(0.0, SurgeryOp("x", parts, 1.0)) for parts in shared]
     assert '"participants": [[true, 0], [1, false]]' in tl.to_jsonl()
+    assert '"participants": [[1, 0], [true, 0], [0, 1], [0, true]]' in tl.to_jsonl()
     assert tl.to_jsonl() == reference_jsonl(tl)
 
 
@@ -349,3 +364,22 @@ def test_jsonl_writes_look_alike_numbers_as_given():
         '{"start": 3', '{"start": 3.0', '{"start": 3.0', '{"start": 0.0',
         '{"start": -0.0', '{"start": -0.0', '{"start": 1', '{"start": true',
     ]
+
+
+@pytest.mark.parametrize("mode", ["plain", "controlled"])
+def test_compiled_ops_share_the_grid_coords(monkeypatch, mode):
+    # compile_step takes every participant from the grid it validates on, so
+    # each patch is one coord object, and its ops carry no __dict__
+    grids = []
+
+    def capture(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(trotter, "build_grid", capture)
+    for n in range(2, 7):
+        ops = compile_step(n, mode=mode).timeline.ops
+        keys = {id(cell) for cell in grids[-1].cells}
+        for _, op in ops:
+            assert all(id(coord) in keys for coord in op.participants), op
+            assert not hasattr(op, "__dict__")
