@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from . import seeding
 from .estimator import QcelsParams
@@ -69,6 +70,12 @@ def synth_signal(
     default_rng(seeds[k]).normal(size=2·n_pairs), real and imaginary parts
     alternating, the same numbers as one scalar draw after another; the
     rows' streams are seeded in one batched pass (``seeding``)."""
+    return _signal(spectrum, tau, n_pairs, noise_scale, seeding.states(seeds), len(seeds))
+
+
+def _signal(spectrum, tau, n_pairs, noise_scale, states: Iterable, trials: int) -> SignalSeries:
+    """``synth_signal`` from the trials' generator states: the next ``trials``
+    rows of ``states``, read even without noise."""
     import numpy as np
 
     if n_pairs < 2:
@@ -83,18 +90,16 @@ def synth_signal(
             for t in times
         ]
     )
+    states = islice(states, trials)
     if not noise_scale:
-        for _ in seeding.states(seeds):  # an invalid seed raises, as with noise
+        for _ in states:  # an invalid seed raises, as with noise
             pass
-        return SignalSeries(np.array(times), np.broadcast_to(clean, (len(seeds), n_pairs)))
+        return SignalSeries(np.array(times), np.broadcast_to(clean, (trials, n_pairs)))
     draws = np.array(
-        [
-            seeding.generator(state).normal(size=2 * n_pairs)
-            for state in seeding.states(seeds)
-        ]
-    ).reshape(len(seeds), n_pairs, 2)
+        [seeding.generator(state).normal(size=2 * n_pairs) for state in states]
+    ).reshape(trials, n_pairs, 2)
     scale = noise_scale / math.sqrt(2)
-    values = np.empty((len(seeds), n_pairs), dtype=complex)
+    values = np.empty((trials, n_pairs), dtype=complex)
     values.real = clean.real + scale * draws[..., 0]
     values.imag = clean.imag + scale * draws[..., 1]
     return SignalSeries(np.array(times), values)
@@ -286,8 +291,10 @@ def multilevel_qcels(
     interval around its fit.
 
     The level-j series uses spacing τ_j and draws trial k's noise from the
-    stream of default_rng((seeds[k], j)), the trials' streams seeded in one
-    batched pass; the search interval at level j is θ*_{j-1} ± π/(2 τ_j),
+    stream of default_rng((seeds[k], j)).  Every level's streams are seeded
+    in one batched pass over the entropies (s, j) in level-major order, read
+    a level at a time, so an invalid seed raises at level 0, before any fit;
+    the search interval at level j is θ*_{j-1} ± π/(2 τ_j),
     starting from the full [-π, π).  All trials are fitted together, level
     by level.  Returns the final eigenphase estimate
     of each trial, in seed order, equal to running the trials one by one.
@@ -301,13 +308,14 @@ def multilevel_qcels(
     noise = 1 / math.sqrt(4 * n_pairs * n_samples) if n_samples else 0.0
     theta = np.zeros(len(seeds))
     half_width = math.pi
+    states = seeding.states((s, j) for j in range(params.levels) for s in seeds)
     for j, tau_j in enumerate(params.tau):
         if half_width < 1e-15:
             raise ValueError(
                 f"search interval collapsed below numeric resolution at level {j} "
                 f"(eps {eps}, delta {delta})"
             )
-        series = synth_signal(spectrum, tau_j, n_pairs, noise, [(s, j) for s in seeds])
+        series = _signal(spectrum, tau_j, n_pairs, noise, states, len(seeds))
         _r, theta = qcels_fit(series, theta - half_width, theta + half_width)
         half_width = math.pi / (2 * tau_j)
     return theta.tolist()

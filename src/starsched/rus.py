@@ -6,9 +6,15 @@ Pauli measurement (Z: 1 clock, ZZ: 2 clocks) that succeeds with probability
 1/2; a failure doubles the rotation angle for the next trial.  The batch
 finishes when the slowest process completes.
 
+A batch of M processes sits on a 4 × cols grid, cell (r, c) at bit
+r·cols + c.  Z processes take cols = ⌈M/2⌉: process p < cols targets (0, p)
+with region (1, p), and process p ≥ cols targets (3, p - cols) with region
+(2, p - cols), so region p is bit cols + p and an odd M leaves the last
+column of rows 2 and 3 free.  ZZ processes take cols = M: process p targets
+the pair (0, p), (1, p) with region (2, p), (3, p), and no cell is free.
 The Monte Carlo holds each injection region, and a run's free patches, as
-a mask over the batch's grid, and grows a region one ring at a time, both
-through ``fabric.bit_grid``.
+such a mask, and grows a region one ring at a time through
+``fabric.bit_grid``.
 
 In adaptive mode a completing process frees its region at once, and each
 clock with completions that leaves processes ongoing ends with one
@@ -22,7 +28,8 @@ cap hands the run to the per-clock loop, from its first uniform.
 
 Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
 generator states are computed by ``seeding`` in one batched pass per chunk
-of runs, so no ``SeedSequence`` is built per run.
+of runs, so no ``SeedSequence`` is built per run.  Its uniforms come in
+blocks sized so that one covers a shipped-rate run.
 
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.
@@ -45,16 +52,18 @@ from .injection import (
     success_prob,
 )
 
-Coord = tuple[int, int]
-
 # Clock cap of one run: the longest golden run takes 352 clocks and the slowest
 # runs calibrate_p_pass meets (naive M = 32 at its floor log10 p = -4) about
 # 4·10^4, so a run past 10^6 clocks means a pass rate too small to model.
 MAX_RUN_CLOCKS = 1_000_000
 
-# Length of a run's block of uniforms (at least 2·M).  PCG64 gives the same
-# doubles to rng.random(n) as to n scalar rng.random() calls.
+# A run's blocks hold max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS·M) uniforms, the
+# same doubles as scalar rng.random() calls.  At the shipped pass rate a
+# process runs 2 trials on average, each reading a draw and a coin, so with
+# the M first injections a run reads about 5·M; refilling at 2·M unread, 8·M
+# lets it read 6·M first.  The floor serves small batches at low pass rates.
 RNG_BLOCK = 256
+RNG_BLOCK_PER_PROCESS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -161,54 +170,28 @@ class RusStats:
         return ordered[max(idx, 0)]
 
 
-def benchmark_layout(m: int, basis: str):
-    """Targets and initial injection regions for an M-process batch.
-
-    Z processes occupy single data patches on the outer rows with a one-patch
-    region on the adjacent routing row; ZZ processes occupy a vertical data
-    pair per column with a two-patch region below.
-    """
+def _batch(m: int, basis: str):
+    """Region masks, free mask, one ring of growth, measurement clocks and
+    initial region sizes of an M-process batch, on the grid of the module
+    docstring: masks by arithmetic, and ``grow`` from ``fabric.bit_grid``
+    over the grid's two corner cells, whose bounding box is the grid."""
     if m < 1:
         raise ValueError("need at least one process")
-    targets: dict[int, tuple[Coord, ...]] = {}
-    regions: dict[int, set[Coord]] = {}
     if basis == "Z":
         cols = (m + 1) // 2
-        for pid in range(m):
-            if pid < cols:
-                targets[pid] = ((0, pid),)
-                regions[pid] = {(1, pid)}
-            else:
-                c = pid - cols
-                targets[pid] = ((3, c),)
-                regions[pid] = {(2, c)}
+        regions = {pid: 1 << (cols + pid) for pid in range(m)}
+        # all of row 0, and row 3 up to column m - cols
+        targets = ((1 << cols) - 1) | ((1 << (m - cols)) - 1) << (3 * cols)
     elif basis == "ZZ":
         cols = m
-        for pid in range(m):
-            targets[pid] = ((0, pid), (1, pid))
-            regions[pid] = {(2, pid), (3, pid)}
+        regions = {pid: (1 | 1 << m) << (2 * m + pid) for pid in range(m)}
+        targets = (1 << 2 * m) - 1  # rows 0 and 1
     else:
         raise ValueError(f"basis must be Z or ZZ, got {basis!r}")
-    cells = {(r, c) for r in range(4) for c in range(cols)}
-    return targets, regions, cells
-
-
-def _batch(m: int, basis: str):
-    """Region masks, free mask, one ring of growth, measurement clocks,
-    initial region sizes and their common size (0 if they differ) of an
-    M-process batch: ``benchmark_layout``'s 4 × cols grid through
-    ``fabric.bit_grid``."""
-    targets, regions0, cells = benchmark_layout(m, basis)
-    bit, grow = bit_grid(cells)
-
-    def mask(coords) -> int:
-        return sum(bit[c] for c in coords)
-
-    used = {c for t in targets.values() for c in t} | {c for r in regions0.values() for c in r}
-    regions = {pid: mask(region) for pid, region in regions0.items()}
-    sizes = tuple(region.bit_count() for region in regions.values())
-    uniform = sizes[0] if len(set(sizes)) == 1 else 0
-    return regions, mask(cells - used), grow, 1 if basis == "Z" else 2, sizes, uniform
+    _, grow = bit_grid([(0, 0), (3, cols - 1)])
+    free = ((1 << 4 * cols) - 1) ^ targets ^ sum(regions.values())
+    # Z: 1 measurement clock and 1-patch regions, ZZ: 2 and 2
+    return regions, free, grow, len(basis), (len(basis),) * m
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -239,19 +222,20 @@ def _refill(rng, blocks, buf, pos: int, drawn: int):
 
 def _trial_pass(batch, q, first, adaptive: bool, rng, blocks, buf):
     """The run trial by trial while every draw lands below its threshold at
-    the batch's common initial size; None leaves it to the clock loop.
+    the batch's initial region size, the same for every process; None leaves
+    it to the clock loop.
 
     Then no draw depends on regrowth, and a trial reads one draw per ongoing
     process (its injection in naive mode, its next trial's pre-injection in
-    adaptive mode), then one coin each.  Declines if the sizes differ, a draw
-    fails or a clock passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending
-    to ``blocks``) and evaluates q only where the clock loop does.
+    adaptive mode), then one coin each.  Declines if a draw fails or a clock
+    passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending to ``blocks``)
+    and evaluates q only where the clock loop does.
     """
-    meas, size = batch[3], batch[5]
+    meas, size = batch[3], batch[4][0]
     m = len(first)
     # clock 1: every process draws its first injection; the first draw
     # alone settles most declines
-    if not size or buf[0] >= first[0] or max(buf[:m]) >= first[0]:
+    if buf[0] >= first[0] or max(buf[:m]) >= first[0]:
         return None
     refill_at = len(buf) - 2 * m
     pos, drawn, t, k, n = m, 0, 1, 1, m
@@ -296,13 +280,15 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
     the first ones of ``default_rng((s, i))``, seeded in one batched pass
     with the other runs, and of the blocks' concatenation.
     ``_trial_pass`` runs first; if it declines, the clock loop runs the run
-    from its first uniform.
+    from its first uniform.  With fewer than 2·M uniforms unread at a clock's
+    start, ``_refill`` tops the block up, in the pass exactly where the clock
+    loop would.
     """
-    regions0, free0, grow, meas_clocks, size0, _ = batch
+    regions0, free0, grow, meas_clocks, size0 = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
-    block = max(RNG_BLOCK, 2 * m)
+    block = max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS * m)
     refill_at = block - 2 * m
     rng = seeding.generator(state)
     blocks = [rng.random(block)]

@@ -1,7 +1,8 @@
 """The 2D Hubbard model's qubit Hamiltonian as Pauli terms, for tests.
 
 The compiler never builds the terms: the tests check the one-norm and the
-controlled step's anticommuting controls against them.
+controlled step's anticommuting controls (``anticommuting_controls``, read
+by the trotter and decoder tests) against them.
 """
 
 from __future__ import annotations
@@ -48,3 +49,40 @@ def build_hamiltonian(spec: HubbardSpec) -> list[PauliTerm]:
             PauliTerm(spec.u / 4, ((s, "Z"), (v + s, "Z")), "onsite_zz")
         )
     return out
+
+
+def anticommuting_controls(n: int):
+    """Pauli operators anticommuting with the hopping / onsite sub-Hamiltonians.
+
+    K0 applies Z to both spin-orbitals of every odd-parity site (row + col
+    odd); K1 applies X to the spin-down orbital of every site.  Both are
+    verified symbolically against the term set: an operator pair
+    anticommutes iff it disagrees (with non-identity letters) on an odd
+    number of qubits.
+    """
+    v = n * n
+    k0 = tuple(
+        (spin * v + r * n + c, "Z")
+        for spin in (0, 1)
+        for r in range(n)
+        for c in range(n)
+        if (r + c) % 2 == 1
+    )
+    k1 = tuple((v + s, "X") for s in range(v))
+    for term in build_hamiltonian(HubbardSpec(n)):
+        control = k0 if term.kind.startswith("hopping") else k1
+        if not _anticommutes(control, term.support):
+            raise AssertionError(
+                f"control does not anticommute with {term.kind} term {term.support}"
+            )
+    return k0, k1
+
+
+def _anticommutes(a, b) -> bool:
+    letters_a = dict(a)
+    odd = 0
+    for q, letter in b:
+        other = letters_a.get(q)
+        if other is not None and other != letter:
+            odd += 1
+    return odd % 2 == 1

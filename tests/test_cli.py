@@ -105,6 +105,28 @@ def test_timeline_bytes_are_pinned(tmp_path, n, mode):
     assert hashlib.sha256(timeline.read_bytes()).hexdigest() == PINNED_TIMELINES[name]
 
 
+# SHA-256 of seeded simulate-rus outputs whose runs refill their block of
+# uniforms, which no perfbench golden covers, in sha256sum format:
+# "<digest>  rus_<case>.json" (summary) and "<digest>  rus_<case>.csv" (--hist)
+with open(os.path.join(os.path.dirname(__file__), "rus_digests.sha256")) as fh:
+    PINNED_RUS = {name: digest for digest, name in map(str.split, fh)}
+
+PINNED_RUS_ARGV = {
+    "rus_m150_ZZ_p0.8": ["--m", "150", "--basis", "ZZ", "--p-pass", "0.8", "--runs", "40"],
+    "rus_m100_ZZ_p0.3": ["--m", "100", "--basis", "ZZ", "--p-pass", "0.3", "--runs", "100"],
+    "rus_m1_naive_p0.01": ["--m", "1", "--mode", "naive", "--p-pass", "0.01", "--runs", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUS_ARGV))
+def test_simulate_rus_bytes_are_pinned(tmp_path, case):
+    summary, hist = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
+    argv = ["simulate-rus", *PINNED_RUS_ARGV[case], "--out", str(summary), "--hist", str(hist)]
+    assert run(argv) == 0
+    for path in (summary, hist):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_RUS[path.name]
+
+
 def test_outputs_follow_umask(tmp_path):
     old = os.umask(0o022)
     try:

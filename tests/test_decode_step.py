@@ -10,12 +10,20 @@ down), both starting in ordering A, and walks the ops in start order:
   hopping terms of the sites at those positions, whose Jordan-Wigner string
   cancels because the positions are adjacent;
 - a ``rus_block_zz`` on one whole column is the onsite term of the site at
-  that position on both lines.
+  that position on both lines;
+- a ``multi_target_cz`` on some columns of one data row, controlled by the
+  phase-estimation ancilla, is Z on the orbitals of the sites at those
+  positions of that row's spin;
+- a ``multi_target_cnot_reduced``, controlled by the ancilla, is X on the
+  spin-down orbitals of the sites at the row-1 positions it holds: it runs
+  before the first patch-move layer and after the last, while the spin-down
+  patches sit in row 1, with routing row 2 as its path.
 
-Other ops (patch moves and the controlled step's multi-target layers) carry
-no term.  The timeline carries no angles, so the doubled angle of the merged
-middle B1 batch stays a fact of ``trotter.step_batches``; here the merge
-shows only as the middle batch's terms appearing once.
+The controlled step's control layers must decode to the Pauli operators of
+``anticommuting_controls``, derived from the Hamiltonian's terms.  Patch
+moves carry no term.  The timeline carries no angles, so the doubled angle
+of the merged middle B1 batch stays a fact of ``trotter.step_batches``; here
+the merge shows only as the middle batch's terms appearing once.
 """
 
 from collections import Counter, defaultdict
@@ -25,7 +33,7 @@ import pytest
 from starsched.hubbard import HubbardSpec
 from starsched.trotter import compile_step
 
-from hamiltonian import build_hamiltonian
+from hamiltonian import anticommuting_controls, build_hamiltonian
 
 SPIN_ROW = {0: 0, 3: 1}  # data row -> spin
 
@@ -39,8 +47,28 @@ def _data_cells(op):
     return {r: sorted(cs) for r, cs in cells.items()}
 
 
+def _control(op, v, lines):
+    """The Pauli operator of a multi-target op, as a frozenset of (qubit,
+    letter), checking that one participant off the data columns (the
+    ancilla) controls it."""
+    assert sum(c >= v for _, c in op.participants) == 1, op
+    data = _data_cells(op)
+    if op.kind == "multi_target_cz":
+        ((row, cols),) = data.items()
+        spin = SPIN_ROW[row]
+        return frozenset((spin * v + lines[spin][c], "Z") for c in cols)
+    assert not data, op
+    rows = defaultdict(set)
+    for r, c in op.participants:
+        if c < v:
+            rows[r].add(c)
+    assert rows == {1: set(range(v)), 2: set(range(v))}, op
+    return frozenset((v + lines[1][c], "X") for c in rows[1])
+
+
 def decode(n, order_a, ops):
-    """The term groups of the step in start order, and the final lines.
+    """The term groups of the step in start order, the control operators in
+    start order, and the final lines.
 
     Each group is the frozenset of Hamiltonian terms of the ops sharing one
     start; starts with no term op give no group.  Raises AssertionError on an
@@ -58,6 +86,7 @@ def decode(n, order_a, ops):
     for start, op in ops:
         by_start[start].append(op)
     groups = []
+    controls = []
     for start in sorted(by_start):
         found = []
         swaps = []
@@ -79,13 +108,15 @@ def decode(n, order_a, ops):
                 a, b = sorted((lines[spin][p1], lines[spin][p2]))
                 qa, qb = spin * v + a, spin * v + b
                 found += [term((qa, x), (qb, x)) for x in "XY"]
+            elif op.kind.startswith("multi_target"):
+                controls.append((op.kind, _control(op, v, lines)))
         assert not (found and swaps), f"terms and fSWAPs share start {start}"
         for spin, p in swaps:
             line = lines[spin]
             line[p], line[p + 1] = line[p + 1], line[p]
         if found:
             groups.append(frozenset(found))
-    return groups, lines
+    return groups, controls, lines
 
 
 def _twin(op):
@@ -94,7 +125,7 @@ def _twin(op):
 
 
 @pytest.mark.parametrize("mode", ["plain", "controlled"])
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", range(2, 21))
 def test_compiled_step_decodes_to_the_hamiltonian(n, mode):
     sched = compile_step(n, mode)
     order_a = sched.pair.order_a
@@ -109,7 +140,7 @@ def test_compiled_step_decodes_to_the_hamiltonian(n, mode):
         if op.kind in ("xxyy_block", "fswap") and 0 in _data_cells(op):
             assert per_start[start][_twin(op)], (start, op)
 
-    groups, lines = decode(n, order_a, ops)
+    groups, controls, lines = decode(n, order_a, ops)
     # the symmetric second-order product: a palindrome about the merged B1
     assert len(groups) % 2 == 1 and groups == groups[::-1]
     middle = groups[len(groups) // 2]
@@ -123,3 +154,16 @@ def test_compiled_step_decodes_to_the_hamiltonian(n, mode):
             assert counts[term] == (1 if term in middle else 2), term
     assert all(t.kind != "onsite_zz" for t in middle)
     assert lines[0] == lines[1] == list(order_a)
+
+    # a controlled step: a CNOT layer at each end, and a CZ layer (one op per
+    # spin row) on the hopping side of each move layer
+    if mode == "plain":
+        assert controls == []
+        return
+    k0, k1 = map(frozenset, anticommuting_controls(n))
+    kinds = [kind for kind, _ in controls]
+    cz = ["multi_target_cz"] * 2
+    assert kinds == ["multi_target_cnot_reduced", *cz, *cz, "multi_target_cnot_reduced"]
+    assert controls[0][1] == controls[-1][1] == k1
+    for first, second in (controls[1:3], controls[3:5]):
+        assert first[1] | second[1] == k0 and not first[1] & second[1]

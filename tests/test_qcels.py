@@ -5,12 +5,14 @@ import math
 import statistics
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from starsched import qcels, seeding
 from starsched.estimator import QcelsParams
 from starsched.qcels import (
     _GRID_BLOCK,
@@ -351,6 +353,32 @@ def test_multilevel_determinism():
     a = multilevel_qcels(FIVE_PHASE, 0.01, seeds=[3])
     b = multilevel_qcels(FIVE_PHASE, 0.01, seeds=[3])
     assert a == b
+
+
+def test_every_level_is_seeded_in_one_pass():
+    # 8 levels of 100 trials: 800 entropies, one chunk of seeding.states
+    assert QcelsParams(0.06, 5, 100, 0.01).levels * 100 <= seeding.CHUNK
+    passes = mock.Mock(wraps=seeding.generate_states)
+    with mock.patch.object(seeding, "generate_states", passes):
+        multilevel_qcels(FIVE_PHASE, 0.01, seeds=range(100))
+    assert passes.call_count == 1
+
+
+@pytest.mark.parametrize("n_samples", [0, 100])
+@pytest.mark.parametrize("seeds", [[-1], [0, 2**40, -3, 1.5]])
+def test_invalid_seed_raises_at_level_zero(seeds, n_samples):
+    # numpy's error for the first invalid (seed, 0), before any level is fitted
+    for seed in seeds:
+        try:
+            np.random.SeedSequence((seed, 0))
+        except (TypeError, ValueError) as exc:
+            expected = type(exc), str(exc)
+            break
+    fits = mock.Mock(wraps=qcels.qcels_fit)
+    with mock.patch.object(qcels, "qcels_fit", fits), pytest.raises(expected[0]) as ours:
+        multilevel_qcels(FIVE_PHASE, 0.01, n_samples=n_samples, seeds=seeds)
+    assert str(ours.value) == expected[1]
+    assert fits.call_count == 0
 
 
 def test_phase_wrapping():

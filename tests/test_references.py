@@ -10,6 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "starsched"
 ALLOWED = {
     "rus.calibrate_p_pass": "the perfbench rus-calibrate workload and the tests "
     "call it; no command does",
+    "qcels.synth_signal": "the one-level signal from trial seeds, which the tests "
+    "call; multilevel_qcels seeds all its levels at once and calls _signal",
 }
 
 

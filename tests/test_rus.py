@@ -8,6 +8,10 @@ shifts, one dilation per claimant per ring; the tests reach it through
 ``grow_masks``, which converts sets to masks and back.  Both must return the
 same regions and leave the same free set.
 
+``benchmark_layout`` lays a batch out as coordinate sets, as ``src/`` once
+did; ``rus._batch`` must build the same regions, free cells and growth as
+bitmasks by arithmetic.
+
 ``reference_simulate_parallel_rus`` is the original Monte Carlo loop on
 coordinate sets, growing regions with ``reference_update_injection_regions``:
 one scalar ``rng.random()`` per draw and the per-clock injection chance
@@ -53,7 +57,6 @@ from starsched.rus import (
     MAX_RUN_CLOCKS,
     FreeCells,
     RusStats,
-    benchmark_layout,
     calibrate_p_pass,
     expected_trials,
     prob_finish_at,
@@ -254,6 +257,39 @@ def test_region_tie_break_prefers_lower_id():
     assert grown[1] == {(0, 2)}
 
 
+def benchmark_layout(m: int, basis: str):
+    """Targets and initial injection regions for an M-process batch, as
+    coordinate sets: the layout ``rus._batch`` builds as bitmasks.
+
+    Z processes occupy single data patches on the outer rows with a one-patch
+    region on the adjacent routing row; ZZ processes occupy a vertical data
+    pair per column with a two-patch region below.
+    """
+    if m < 1:
+        raise ValueError("need at least one process")
+    targets = {}
+    regions = {}
+    if basis == "Z":
+        cols = (m + 1) // 2
+        for pid in range(m):
+            if pid < cols:
+                targets[pid] = ((0, pid),)
+                regions[pid] = {(1, pid)}
+            else:
+                c = pid - cols
+                targets[pid] = ((3, c),)
+                regions[pid] = {(2, c)}
+    elif basis == "ZZ":
+        cols = m
+        for pid in range(m):
+            targets[pid] = ((0, pid), (1, pid))
+            regions[pid] = {(2, pid), (3, pid)}
+    else:
+        raise ValueError(f"basis must be Z or ZZ, got {basis!r}")
+    cells = {(r, c) for r in range(4) for c in range(cols)}
+    return targets, regions, cells
+
+
 def test_layout_shapes():
     targets, regions, cells = benchmark_layout(8, "Z")
     assert len(targets) == 8
@@ -266,19 +302,36 @@ def test_layout_shapes():
     assert all(len(t) == 2 for t in targets_zz.values())
 
 
-@pytest.mark.parametrize("m, basis", [(1, "Z"), (7, "Z"), (40, "Z"), (1, "ZZ"), (100, "ZZ")])
+@pytest.mark.parametrize("basis", ["Z", "ZZ"])
+@pytest.mark.parametrize("m", [*range(1, 10), 40, 63, 64, 65, 100, 101, 150])
 def test_batch_masks_match_layout(m, basis):
     targets, regions, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
     used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
-    masks, free, grow, meas_clocks, *_ = rus._batch(m, basis)
+    masks, free, grow, meas_clocks, sizes = rus._batch(m, basis)
     assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
+    assert list(masks) == list(regions)
     assert free == to_mask(cells - used, cols)
     neighbors = _grid_neighbors(cells)
     full = to_mask(cells, cols)
     for cell in cells:  # one ring of growth reaches exactly the grid neighbours
         assert grow(to_mask([cell], cols)) & full == to_mask(neighbors(cell), cols)
     assert meas_clocks == len(basis)
+    assert sizes == tuple(len(region) for region in regions.values())
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+@pytest.mark.parametrize("basis", ["Z", "ZZ", "X", "", None])
+def test_batch_rejects_what_the_layout_rejects(m, basis):
+    # "need at least one process" comes before the basis check
+    try:
+        benchmark_layout(m, basis)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            rus._batch(m, basis)
+        assert str(ours.value) == str(exc)
+    else:
+        rus._batch(m, basis)
 
 
 def test_single_rotation_mean_clocks():
@@ -488,9 +541,11 @@ def test_naive_large_angle_matches_reference_per_seed():
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])
 def test_batch_wider_than_block_matches_reference(mode):
-    # 2·M > RNG_BLOCK: the block holds exactly one clock's worst case
+    # 2·M > RNG_BLOCK at 2 uniforms per process: the block holds exactly one
+    # clock's worst case, so every clock refills
     assert 2 * 150 > rus.RNG_BLOCK
-    reference, change = outcomes(150, "ZZ", 1e-8, CFG, mode, 3, 8)
+    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
+        reference, change = outcomes(150, "ZZ", 1e-8, CFG, mode, 3, 8)
     assert change == reference
 
 
@@ -641,20 +696,63 @@ def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])
 def test_trial_pass_declined_past_the_first_block_matches_clock_loop(mode):
-    # 2·M > RNG_BLOCK: the pass refills at clock 2, so a pass that declines
-    # later has drawn past the first block, which the clock loop must draw
-    # again from the run's first uniform
+    # 2·M > RNG_BLOCK at 2 uniforms per process: the pass refills at clock
+    # 2, so a pass that declines later has drawn past the first block, which
+    # the clock loop must draw again from the run's first uniform
     batch = rus._batch(150, "ZZ")
     spy, log = trial_pass_spy()
-    for p_pass in (0.7, 0.8, 0.9):
-        q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
-        first = [q(1, n) for n in batch[4]]
-        for i in range(40):
-            by_pass, by_clock_loop = pass_and_clock_loop(
-                spy, batch, q, first, mode == "adaptive", 1, i
-            )
-            assert by_pass == by_clock_loop, (p_pass, i)
+    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
+        for p_pass in (0.7, 0.8, 0.9):
+            q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
+            first = [q(1, n) for n in batch[4]]
+            for i in range(40):
+                by_pass, by_clock_loop = pass_and_clock_loop(
+                    spy, batch, q, first, mode == "adaptive", 1, i
+                )
+                assert by_pass == by_clock_loop, (p_pass, i)
     assert {"done", "refilled"} <= set(log)
+
+
+def run_outcome(batch, q, first, adaptive, seed, i):
+    """(clock, uniforms read, largest trial index, the uniforms read) of one
+    run, or the error's type and message."""
+    try:
+        t, read, max_k, blocks = rus._simulate_run(
+            batch, q, first, adaptive, generate_states([(seed, i)])[0], i
+        )
+    except ValueError as exc:  # AngleCapError and InfeasibleModel
+        return type(exc), str(exc)
+    return t, read, max_k, np.concatenate(blocks)[:read].tolist()
+
+
+@given(
+    m=st.integers(1, 160),
+    basis=st.sampled_from(["Z", "ZZ"]),
+    adaptive=st.booleans(),
+    p_pass=st.one_of(st.just(CFG.p_pass), st.floats(0.02, 0.9)),
+    seed=st.one_of(st.integers(0, 2**16), st.integers(2**32, 2**100)),
+    i=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_run_does_not_depend_on_the_block_length(m, basis, adaptive, p_pass, seed, i):
+    # the block length moves only where refills fall: 2 uniforms per process
+    # refills at nearly every clock, 40 almost never
+    batch = rus._batch(m, basis)
+    q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
+    first = [q(1, n) for n in batch[4]]
+    found = []
+    for factor in (2, 8, 40):
+        with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
+            found.append(run_outcome(batch, q, first, adaptive, seed, i))
+    assert found[0] == found[1] == found[2]
+
+
+def test_shipped_rate_m100_zz_draws_one_block_per_run():
+    # 523 refills over these 100 runs when a block held max(256, 2·M)
+    refills = mock.Mock(wraps=rus._refill)
+    with mock.patch.object(rus, "_refill", refills):
+        simulate_parallel_rus(100, "ZZ", 1e-8, CFG, "adaptive", 100, 0)
+    assert refills.call_count == 0
 
 
 def test_angle_cap_error_leaves_the_trial_pass_once():

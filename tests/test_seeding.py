@@ -191,8 +191,9 @@ def seed_sequences_built():
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])
 def test_simulation_builds_no_seed_sequence(mode):
-    # at M = 150 ZZ and p_pass 0.7 some trial passes decline after drawing
-    # past the first block, so the run rewinds its generator
+    # at M = 150 ZZ, p_pass 0.7 and blocks of 2 uniforms per process some
+    # trial passes decline after drawing past the first block, so the run
+    # rewinds its generator
     refilled = []
     trial_pass = rus._trial_pass
 
@@ -203,7 +204,8 @@ def test_simulation_builds_no_seed_sequence(mode):
 
     with seed_sequences_built() as built, mock.patch.object(rus, "_trial_pass", spy):
         simulate_parallel_rus(32, "Z", 1e-8, CFG, mode, runs=50, seed=2**40)
-        simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
+        with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
+            simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
         assert built() == 0
     assert any(refilled)
 

@@ -21,7 +21,7 @@ from starsched.trotter import (
     trotter_clocks,
 )
 
-from hamiltonian import build_hamiltonian
+from hamiltonian import anticommuting_controls, build_hamiltonian
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -113,43 +113,6 @@ def test_controlled_timeline_validates():
 
     sched = compile_step(4, mode="controlled")
     assert validate(sched.timeline, build_grid(4, with_qpe_ancilla=True)) is None
-
-
-def anticommuting_controls(n: int):
-    """Pauli operators anticommuting with the hopping / onsite sub-Hamiltonians.
-
-    K0 applies Z to both spin-orbitals of every odd-parity site (row + col
-    odd); K1 applies X to the spin-down orbital of every site.  Both are
-    verified symbolically against the term set: an operator pair
-    anticommutes iff it disagrees (with non-identity letters) on an odd
-    number of qubits.
-    """
-    v = n * n
-    k0 = tuple(
-        (spin * v + r * n + c, "Z")
-        for spin in (0, 1)
-        for r in range(n)
-        for c in range(n)
-        if (r + c) % 2 == 1
-    )
-    k1 = tuple((v + s, "X") for s in range(v))
-    for term in build_hamiltonian(HubbardSpec(n)):
-        control = k0 if term.kind.startswith("hopping") else k1
-        if not _anticommutes(control, term.support):
-            raise AssertionError(
-                f"control does not anticommute with {term.kind} term {term.support}"
-            )
-    return k0, k1
-
-
-def _anticommutes(a, b) -> bool:
-    letters_a = dict(a)
-    odd = 0
-    for q, letter in b:
-        other = letters_a.get(q)
-        if other is not None and other != letter:
-            odd += 1
-    return odd % 2 == 1
 
 
 def test_control_paulis_anticommute_with_every_term():
