@@ -23,8 +23,9 @@ clock with completions that leaves processes ongoing ends with one
 Each run first tries ``_trial_pass``.  While every draw lands below its
 threshold at the batch's common initial size, no draw depends on regrowth
 and the run reads one fixed sequence, checked a trial's draws and coins at
-a time.  At the shipped pass rate runs end there; a failed draw or the clock
-cap hands the run to the per-clock loop, from its first uniform.
+a time, in the run's first block.  At the shipped pass rate runs end there;
+a failed draw, the clock cap or a trial that might read past the block
+hands the run to the per-clock loop, from the block's first uniform.
 
 Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
 generator states are computed by ``seeding`` in one batched pass per chunk
@@ -57,11 +58,12 @@ from .injection import (
 # 4·10^4, so a run past 10^6 clocks means a pass rate too small to model.
 MAX_RUN_CLOCKS = 1_000_000
 
-# A run's blocks hold max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS·M) uniforms, the
-# same doubles as scalar rng.random() calls.  At the shipped pass rate a
-# process runs 2 trials on average, each reading a draw and a coin, so with
-# the M first injections a run reads about 5·M; refilling at 2·M unread, 8·M
-# lets it read 6·M first.  The floor serves small batches at low pass rates.
+# A run's first block holds max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS·M) uniforms,
+# the same doubles as scalar rng.random() calls, and is all the trial pass
+# reads.  At the shipped pass rate a process runs 2 trials on average, each
+# reading a draw and a coin, so with the M first injections a run reads about
+# 5·M, well inside 8·M: the pass starts a trial of n processes only with 2·n
+# unread.  The floor serves small batches at low pass rates.
 RNG_BLOCK = 256
 RNG_BLOCK_PER_PROCESS = 8
 
@@ -172,9 +174,10 @@ class RusStats:
 
 def _batch(m: int, basis: str):
     """Region masks, free mask, one ring of growth, measurement clocks and
-    initial region sizes of an M-process batch, on the grid of the module
-    docstring: masks by arithmetic, and ``grow`` from ``fabric.bit_grid``
-    over the grid's two corner cells, whose bounding box is the grid."""
+    common initial region size of an M-process batch, on the grid of the
+    module docstring: masks by arithmetic, and ``grow`` from
+    ``fabric.bit_grid`` over the grid's two corner cells, whose bounding box
+    is the grid."""
     if m < 1:
         raise ValueError("need at least one process")
     if basis == "Z":
@@ -191,7 +194,7 @@ def _batch(m: int, basis: str):
     _, grow = bit_grid([(0, 0), (3, cols - 1)])
     free = ((1 << 4 * cols) - 1) ^ targets ^ sum(regions.values())
     # Z: 1 measurement clock and 1-patch regions, ZZ: 2 and 2
-    return regions, free, grow, len(basis), (len(basis),) * m
+    return regions, free, grow, len(basis), len(basis)
 
 
 def _thresholds(theta_star: float, cfg: InjectionConfig):
@@ -213,76 +216,58 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     return q
 
 
-def _refill(rng, blocks, buf, pos: int, drawn: int):
-    """Drop the ``pos`` uniforms read from ``buf`` and append as many from
-    ``rng``, as one more block: (buf, drawn, pos)."""
-    blocks.append(rng.random(pos))
-    return buf[pos:] + blocks[-1].tolist(), drawn + pos, 0
-
-
-def _trial_pass(batch, q, first, adaptive: bool, rng, blocks, buf):
-    """The run trial by trial while every draw lands below its threshold at
-    the batch's initial region size, the same for every process; None leaves
-    it to the clock loop.
+def _trial_pass(batch, q, first: float, adaptive: bool, buf):
+    """(clock, uniforms read, largest trial index) of the run trial by trial
+    while every draw lands below its threshold at the batch's common initial
+    region size; None leaves it to the clock loop.
 
     Then no draw depends on regrowth, and a trial reads one draw per ongoing
     process (its injection in naive mode, its next trial's pre-injection in
-    adaptive mode), then one coin each.  Declines if a draw fails or a clock
-    passes ``MAX_RUN_CLOCKS``.  Refills ``buf`` (appending to ``blocks``)
-    and evaluates q only where the clock loop does.
+    adaptive mode), then one coin each.  Reads only ``buf``, the run's first
+    block: declines if a trial's 2·n uniforms might not fit in it, a draw
+    fails or a clock passes ``MAX_RUN_CLOCKS``.  Evaluates q only where the
+    clock loop does.
     """
-    meas, size = batch[3], batch[4][0]
-    m = len(first)
+    m, meas, size = len(batch[0]), batch[3], batch[4]
     # clock 1: every process draws its first injection; the first draw
     # alone settles most declines
-    if buf[0] >= first[0] or max(buf[:m]) >= first[0]:
+    if buf[0] >= first or max(buf[:m]) >= first:
         return None
-    refill_at = len(buf) - 2 * m
-    pos, drawn, t, k, n = m, 0, 1, 1, m
+    pos, t, k, n = m, 1, 1, m
     while True:
         # trial k measures over clocks t + 1 .. t + meas, its coins at the last
-        if t + meas > MAX_RUN_CLOCKS:
+        if t + meas > MAX_RUN_CLOCKS or pos + 2 * n > len(buf):
             return None
-        if pos > refill_at:
-            buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
         if adaptive:  # pre-injections at clock t + 1
             if max(buf[pos : pos + n]) >= q(k + 1, size):
                 return None
             pos += n
-            if meas > 1 and pos > refill_at:
-                buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
         coins = buf[pos : pos + n]
         pos += n
         t += meas
         n = sum(map((0.5).__le__, coins))  # failures go on to trial k + 1
         if not n:
-            return t, drawn + pos, k, blocks
+            return t, pos, k
         k += 1
         if not adaptive:  # injections at clock t + 1
-            if t >= MAX_RUN_CLOCKS:
-                return None
-            level = q(k, size)
-            if pos > refill_at:
-                buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
-            if max(buf[pos : pos + n]) >= level:
+            if t >= MAX_RUN_CLOCKS or max(buf[pos : pos + n]) >= q(k, size):
                 return None
             pos += n
             t += 1
 
 
-def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
+def _simulate_run(batch, q, first: float, adaptive: bool, state, run_idx: int):
     """One run of a batch: (completion clock, uniforms read, largest trial
     index, blocks drawn).
 
-    ``first`` lists each process's first-trial chance q(1, size), the same
-    for every run at one pass rate.  ``state`` is the run's row of
+    ``first`` is the first-trial chance q(1, size), the same for every
+    process and every run at one pass rate.  ``state`` is the run's row of
     ``seeding.generate_states``: for run i of seed s, the uniforms read are
     the first ones of ``default_rng((s, i))``, seeded in one batched pass
     with the other runs, and of the blocks' concatenation.
-    ``_trial_pass`` runs first; if it declines, the clock loop runs the run
-    from its first uniform.  With fewer than 2·M uniforms unread at a clock's
-    start, ``_refill`` tops the block up, in the pass exactly where the clock
-    loop would.
+    ``_trial_pass`` reads the first block; if it declines, the clock loop
+    runs the run from that block's first uniform, and refills (drops the
+    read uniforms and draws as many) at a clock starting with < 2·M unread.
     """
     regions0, free0, grow, meas_clocks, size0 = batch
     m = len(regions0)
@@ -293,11 +278,8 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
     rng = seeding.generator(state)
     blocks = [rng.random(block)]
     buf = blocks[0].tolist()
-    if found := _trial_pass(batch, q, first, adaptive, rng, blocks, buf):
-        return found
-    if len(blocks) > 1:  # the pass drew past the first block: rewind the rng
-        rng = seeding.generator(state)
-        blocks = [rng.random(block)]
+    if found := _trial_pass(batch, q, first, adaptive, buf):
+        return *found, blocks
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
     # while meas_left > 0 and awaiting an ancilla otherwise.  In adaptive
@@ -306,11 +288,11 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
     # chance, both exact at every draw.
     live = dict.fromkeys(regions0)
     regions = dict(regions0)
-    size = list(size0)
+    size = [size0] * m
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
-    now = list(first)
+    now = [first] * m
     free = FreeCells(free0)
     t = 0
     while True:
@@ -318,7 +300,10 @@ def _simulate_run(batch, q, first, adaptive: bool, state, run_idx: int):
         if t > MAX_RUN_CLOCKS:
             raise InfeasibleModel(f"run {run_idx} exceeded {MAX_RUN_CLOCKS} clocks")
         if pos > refill_at:
-            buf, drawn, pos = _refill(rng, blocks, buf, pos, drawn)
+            blocks.append(rng.random(pos))
+            buf = buf[pos:] + blocks[-1].tolist()
+            drawn += pos
+            pos = 0
         finishing = []
         for pid in live:
             if meas_left[pid]:
@@ -401,7 +386,7 @@ def simulate_parallel_rus(
         raise ValueError(f"runs must be at least 1, got {runs}")
     batch = _batch(m, basis)
     q = _thresholds(theta_star, cfg)
-    first = [q(1, n) for n in batch[4]]
+    first = q(1, batch[4])
     adaptive = mode == "adaptive"
     states = seeding.states((seed, i) for i in range(runs))
     completions = tuple(
@@ -452,7 +437,7 @@ def calibrate_p_pass(
         raise ValueError(f"runs must be at least 1, got {runs}")
     base = cfg or SHIPPED_CONFIGS[9]
     batch = _batch(m, basis)
-    size = batch[4][0]  # every naive region keeps this initial size
+    size = batch[4]  # every naive region keeps this initial size
     # one table per step that simulated: its runs' indices and completion
     # clocks, and per k the uniforms each read just below and at or above
     # q(k, size) as rows × K arrays; past a run's largest k, -1 and 2 stand
@@ -473,7 +458,7 @@ def calibrate_p_pass(
             exact = ((below < at) & (at <= above)).all(axis=1)
             clocks[idx[exact]] = done[exact]
         total = int(clocks[clocks >= 0].sum())
-        first = [q(1, n) for n in batch[4]]
+        first = q(1, size)
         idx, done, lows, highs = [], [], [], []
         todo = np.flatnonzero(clocks < 0).tolist()
         for i, state in zip(todo, seeding.states((seed, i) for i in todo)):

@@ -106,7 +106,8 @@ def test_timeline_bytes_are_pinned(tmp_path, n, mode):
 
 
 # SHA-256 of seeded simulate-rus outputs whose runs refill their block of
-# uniforms, which no perfbench golden covers, in sha256sum format:
+# uniforms, or whose trial passes refilled it when they could draw, which no
+# perfbench golden covers, in sha256sum format:
 # "<digest>  rus_<case>.json" (summary) and "<digest>  rus_<case>.csv" (--hist)
 with open(os.path.join(os.path.dirname(__file__), "rus_digests.sha256")) as fh:
     PINNED_RUS = {name: digest for digest, name in map(str.split, fh)}
@@ -115,6 +116,12 @@ PINNED_RUS_ARGV = {
     "rus_m150_ZZ_p0.8": ["--m", "150", "--basis", "ZZ", "--p-pass", "0.8", "--runs", "40"],
     "rus_m100_ZZ_p0.3": ["--m", "100", "--basis", "ZZ", "--p-pass", "0.3", "--runs", "100"],
     "rus_m1_naive_p0.01": ["--m", "1", "--mode", "naive", "--p-pass", "0.01", "--runs", "50"],
+    # shipped-rate adaptive runs at seeds the goldens do not use
+    **{
+        f"rus_m{m}_{basis}_seed{seed}": ["--m", str(m), "--basis", basis, "--mode",
+                                         "adaptive", "--runs", "100", "--seed", str(seed)]
+        for m, basis, seed in ((56, "Z", 1), (56, "ZZ", 1), (36, "ZZ", 2), (64, "ZZ", 4))
+    },
 }
 
 

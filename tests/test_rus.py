@@ -22,8 +22,8 @@ completions that leaves processes ongoing, and must return the same
 completions, or raise the same error, after the same ``success_prob`` calls.
 ``_trial_pass`` runs a run trial by trial while every draw succeeds at the
 initial region size; patched to decline, it leaves every run to the clock
-loop, which must return the same clock, uniforms read, largest trial index
-and uniforms drawn, and regrow as often as the reference.
+loop, which must return the same clock, count of uniforms read and largest
+trial index, read the same uniforms, and regrow as often as the reference.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -49,7 +49,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starsched import injection, rus
+from starsched import injection, rus, seeding
 from starsched.cli import run
 from starsched.fabric import bit_grid
 from starsched.injection import SHIPPED_CONFIGS, InfeasibleModel, InjectionConfig, success_prob
@@ -308,7 +308,7 @@ def test_batch_masks_match_layout(m, basis):
     targets, regions, cells = benchmark_layout(m, basis)
     cols = len(cells) // 4
     used = {c for t in targets.values() for c in t} | {c for r in regions.values() for c in r}
-    masks, free, grow, meas_clocks, sizes = rus._batch(m, basis)
+    masks, free, grow, meas_clocks, size = rus._batch(m, basis)
     assert masks == {pid: to_mask(region, cols) for pid, region in regions.items()}
     assert list(masks) == list(regions)
     assert free == to_mask(cells - used, cols)
@@ -317,7 +317,7 @@ def test_batch_masks_match_layout(m, basis):
     for cell in cells:  # one ring of growth reaches exactly the grid neighbours
         assert grow(to_mask([cell], cols)) & full == to_mask(neighbors(cell), cols)
     assert meas_clocks == len(basis)
-    assert sizes == tuple(len(region) for region in regions.values())
+    assert {len(region) for region in regions.values()} == {size}
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1])
@@ -583,7 +583,7 @@ def trial_count_mismatches(m, basis, trial_pass):
     # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive.
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
-    first = [q(1, n) for n in batch[4]]
+    first = q(1, batch[4])
     meas = len(basis)
     mismatches = []
     with mock.patch.object(rus, "_trial_pass", trial_pass):
@@ -650,33 +650,31 @@ def test_clock_loop_regrows_at_every_clock_with_completions(
 
 
 def trial_pass_spy():
-    """A wrapper of ``_trial_pass`` that logs, per call, "done", "declined",
-    "refilled" (declined after drawing past the first block) or the error."""
+    """A wrapper of ``_trial_pass`` that logs, per call, "done", "declined"
+    or the error."""
     log = []
     trial_pass = rus._trial_pass
 
-    def spy(batch, q, first, adaptive, rng, blocks, buf):
+    def spy(batch, q, first, adaptive, buf):
         try:
-            found = trial_pass(batch, q, first, adaptive, rng, blocks, buf)
+            found = trial_pass(batch, q, first, adaptive, buf)
         except ValueError as exc:
             log.append(type(exc).__name__)
             raise
-        log.append("done" if found else "refilled" if len(blocks) > 1 else "declined")
+        log.append("done" if found else "declined")
         return found
 
     return spy, log
 
 
 def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
-    """(clock, uniforms read, largest trial index, uniforms drawn) of one run,
-    through ``trial_pass`` and then through the clock loop alone."""
+    """``run_outcome`` of one run through ``trial_pass`` and then through the
+    clock loop alone.  Only the uniforms read are compared: the clock loop
+    may draw a refill that the pass never needs."""
     found = []
     for pass_first in (trial_pass, decline):
         with mock.patch.object(rus, "_trial_pass", pass_first):
-            t, read, max_k, blocks = rus._simulate_run(
-                batch, q, first, adaptive, generate_states([(seed, i)])[0], i
-            )
-        found.append((t, read, max_k, np.concatenate(blocks).tolist()))
+            found.append(run_outcome(batch, q, first, adaptive, seed, i))
     return found
 
 
@@ -686,7 +684,7 @@ def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
 def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
-    first = [q(1, n) for n in batch[4]]
+    first = q(1, batch[4])
     spy, log = trial_pass_spy()
     for i in range(200):
         by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, first, adaptive, 0, i)
@@ -694,23 +692,27 @@ def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
     assert set(log) == {"done"}
 
 
-@pytest.mark.parametrize("mode", ["naive", "adaptive"])
-def test_trial_pass_declined_past_the_first_block_matches_clock_loop(mode):
-    # 2·M > RNG_BLOCK at 2 uniforms per process: the pass refills at clock
-    # 2, so a pass that declines later has drawn past the first block, which
-    # the clock loop must draw again from the run's first uniform
-    batch = rus._batch(150, "ZZ")
+@pytest.mark.parametrize("m", [100, 150])
+@pytest.mark.parametrize("mode, factor", [("naive", 4), ("adaptive", 5)])
+def test_trial_pass_declined_at_the_window_matches_clock_loop(m, mode, factor):
+    # At the shipped rate a draw fails with chance 2.7e-15, so a pass
+    # declines only at the window.  A block of at least 3·M fits trial 1 (M
+    # read, 2·M to read); a whole run reads about 4·M naive and 5·M adaptive,
+    # so about half the passes complete trial 1 and then decline.
+    batch = rus._batch(m, "ZZ")
+    q = rus._thresholds(1e-8, CFG)
+    first = q(1, batch[4])
     spy, log = trial_pass_spy()
-    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
-        for p_pass in (0.7, 0.8, 0.9):
-            q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
-            first = [q(1, n) for n in batch[4]]
-            for i in range(40):
-                by_pass, by_clock_loop = pass_and_clock_loop(
-                    spy, batch, q, first, mode == "adaptive", 1, i
-                )
-                assert by_pass == by_clock_loop, (p_pass, i)
-    assert {"done", "refilled"} <= set(log)
+    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
+        assert max(rus.RNG_BLOCK, factor * m) >= 3 * m
+        for i in range(40):
+            by_pass, by_clock_loop = pass_and_clock_loop(
+                spy, batch, q, first, mode == "adaptive", 1, i
+            )
+            assert by_pass == by_clock_loop, i
+            if log[-1] == "declined":
+                assert by_clock_loop[2] > 1, i  # trial 1 left processes ongoing
+    assert {"done", "declined"} <= set(log)
 
 
 def run_outcome(batch, q, first, adaptive, seed, i):
@@ -739,7 +741,7 @@ def test_run_does_not_depend_on_the_block_length(m, basis, adaptive, p_pass, see
     # refills at nearly every clock, 40 almost never
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
-    first = [q(1, n) for n in batch[4]]
+    first = q(1, batch[4])
     found = []
     for factor in (2, 8, 40):
         with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
@@ -747,12 +749,39 @@ def test_run_does_not_depend_on_the_block_length(m, basis, adaptive, p_pass, see
     assert found[0] == found[1] == found[2]
 
 
+def blocks_drawn(*args) -> list[int]:
+    """The number of blocks each run of ``simulate_parallel_rus(*args)`` drew."""
+    simulate_run = rus._simulate_run
+    blocks = []
+
+    def counted(*run_args):
+        found = simulate_run(*run_args)
+        blocks.append(len(found[3]))
+        return found
+
+    with mock.patch.object(rus, "_simulate_run", counted):
+        simulate_parallel_rus(*args)
+    return blocks
+
+
 def test_shipped_rate_m100_zz_draws_one_block_per_run():
     # 523 refills over these 100 runs when a block held max(256, 2·M)
-    refills = mock.Mock(wraps=rus._refill)
-    with mock.patch.object(rus, "_refill", refills):
-        simulate_parallel_rus(100, "ZZ", 1e-8, CFG, "adaptive", 100, 0)
-    assert refills.call_count == 0
+    assert blocks_drawn(100, "ZZ", 1e-8, CFG, "adaptive", 100, 0) == [1] * 100
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_each_run_builds_one_generator(mode):
+    # A block of 2·M uniforms cannot fit trial 1 (M read, 2·M to read), so
+    # every pass declines and every run's clock loop, refilling at each
+    # clock, draws more than one block, all from the run's one generator.
+    generators = mock.Mock(wraps=seeding.generator)
+    cfg = replace(CFG, p_pass=0.7)
+    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2), mock.patch.object(
+        seeding, "generator", generators
+    ):
+        blocks = blocks_drawn(150, "ZZ", 1e-8, cfg, mode, 40, 1)
+    assert generators.call_count == len(blocks) == 40
+    assert min(blocks) > 1
 
 
 def test_angle_cap_error_leaves_the_trial_pass_once():

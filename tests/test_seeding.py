@@ -191,15 +191,15 @@ def seed_sequences_built():
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])
 def test_simulation_builds_no_seed_sequence(mode):
-    # at M = 150 ZZ, p_pass 0.7 and blocks of 2 uniforms per process some
-    # trial passes decline after drawing past the first block, so the run
-    # rewinds its generator
-    refilled = []
+    # at M = 150 ZZ, p_pass 0.7 and blocks of 2 uniforms per process every
+    # trial pass declines, so the clock loop runs and refills on the run's
+    # generator
+    declined = []
     trial_pass = rus._trial_pass
 
-    def spy(batch, q, first, adaptive, rng, blocks, buf):
-        found = trial_pass(batch, q, first, adaptive, rng, blocks, buf)
-        refilled.append(found is None and len(blocks) > 1)
+    def spy(batch, q, first, adaptive, buf):
+        found = trial_pass(batch, q, first, adaptive, buf)
+        declined.append(found is None)
         return found
 
     with seed_sequences_built() as built, mock.patch.object(rus, "_trial_pass", spy):
@@ -207,7 +207,7 @@ def test_simulation_builds_no_seed_sequence(mode):
         with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
             simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
         assert built() == 0
-    assert any(refilled)
+    assert any(declined)
 
 
 def test_calibration_builds_no_seed_sequence():
