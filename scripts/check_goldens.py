@@ -1,17 +1,18 @@
-"""Check the `starsched` console script against the benchmark goldens.
+"""Check the `starsched` console script against its pinned outputs.
 
     python3 scripts/check_goldens.py [--starsched CMD]
 
-Runs the console script CMD (default: starsched) in a temporary directory on
-36 items of perfbench/golden:
-  - compile-trotter for n = 2..10 in both modes, with --out and --timeline;
-  - estimate at the four paper sizes, with --out;
-  - simulate-rus at seed 0, with --out and --hist: the 12 rus-adaptive items
-    (`--mode adaptive --runs 100`), and naive-m32 and adaptive-m32 (`--m 32
-    --basis Z --runs 200`) at the golden calibrated pass rate.
-Each summary and histogram must equal the item's golden "out" and "hist" byte
-for byte, and each timeline's SHA-256 its golden "timeline" digest.  Exits 1
-naming every item that differs, 0 when all 36 match.
+Runs each of the 64 entries of tests/pins.json, one line each, through the
+console script CMD (default: starsched) in a temporary directory, writing each
+output it pins (--out, --hist, --timeline), and compares the output's SHA-256
+with the pinned one.  An entry's outputs are pinned either by "golden", the
+perfbench/golden file whose item of the entry's name holds them (37 entries:
+"out" and "hist" bytes, a "timeline" digest; "{rate}" in the argv is the
+file's calibrated pass rate), or by "sha256", each output's digest (27).  A
+declared change to an output edits its entry's line.  Prints each entry as ok
+or, per output that differs, the entry, the output and both digests; exits 1
+if any differs.  The tier-1 tests run the same entries through
+`starsched.cli.run` with `check`.
 """
 
 from __future__ import annotations
@@ -25,78 +26,65 @@ import subprocess
 import sys
 import tempfile
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-GOLDEN_DIR = os.path.normpath(os.path.join(HERE, "..", "perfbench", "golden"))
-GOLDENS = ("compile-trotter-sweep", "estimate-qcels", "rus-adaptive", "rus-calibrate")
-# the published largest-circuit step counts the estimate items calibrate to
-N_MAX = {4: 3397, 6: 5051, 8: 6750, 10: 8538}
-# option writing each checked output; a timeline is checked by its digest
-OPTIONS = {"out": "--out", "timeline": "--timeline", "hist": "--hist"}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST = os.path.join(ROOT, "tests", "pins.json")
+GOLDEN_DIR = os.path.join(ROOT, "perfbench", "golden")
 
 
-def load(name: str) -> dict:
-    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as f:
-        return json.load(f)["items"]
+def load_manifest() -> dict[str, dict]:
+    with open(MANIFEST) as f:
+        return json.load(f)
 
 
-def items(golden: dict) -> list[tuple[str, str, list[str]]]:
-    """(golden file, item id, starsched arguments) of every checked item."""
-    found = [
-        ("compile-trotter-sweep", f"compile-{mode}-n{n}",
-         ["compile-trotter", "--n", str(n), "--mode", mode])
-        for mode in ("plain", "controlled")
-        for n in range(2, 11)
-    ]
-    found += [
-        ("estimate-qcels", f"estimate-n{n}",
-         ["estimate", "--n", str(n), "--calibrate-nmax", str(n_max)])
-        for n, n_max in N_MAX.items()
-    ]
-    rus = ["simulate-rus", "--seed", "0", "--m"]
-    for n in (4, 6, 8, 10):
-        for m, basis in ((n * n - n, "Z"), (n * n - n, "ZZ"), (n * n, "ZZ")):
-            found.append(
-                ("rus-adaptive", f"rus-m{m}-{basis}",
-                 rus + [str(m), "--basis", basis, "--mode", "adaptive", "--runs", "100"])
-            )
-    rate = golden["rus-calibrate"]["calibrate"]["rate"]
-    for mode in ("naive", "adaptive"):
-        found.append(
-            ("rus-calibrate", f"{mode}-m32",
-             rus + ["32", "--basis", "Z", "--p-pass", rate, "--mode", mode, "--runs", "200"])
-        )
-    return found
+def expected(name: str, entry: dict) -> tuple[list[str], dict[str, str]]:
+    """The entry's starsched argv, and the SHA-256 of each output it pins."""
+    if "sha256" in entry:
+        return entry["argv"], entry["sha256"]
+    with open(os.path.join(GOLDEN_DIR, f"{entry['golden']}.json")) as f:
+        items = json.load(f)["items"]
+    fill = {"rate": items["calibrate"]["rate"]} if "calibrate" in items else {}
+    digests = {
+        kind: value if kind == "timeline" else hashlib.sha256(value.encode()).hexdigest()
+        for kind, value in items[name].items()
+    }
+    return [arg.format(**fill) for arg in entry["argv"]], digests
+
+
+def check(name: str, entry: dict, run, directory) -> list[str]:
+    """Run one manifest entry by ``run(argv) -> exit code``, writing its outputs
+    into ``directory``; one line for each output that differs from its pin."""
+    argv, digests = expected(name, entry)
+    paths = {kind: os.path.join(directory, f"{name}.{kind}") for kind in digests}
+    code = run(argv + [arg for kind, path in paths.items() for arg in (f"--{kind}", path)])
+    if code != 0:
+        return [f"{name}: exit code {code}"]
+    differs = []
+    for kind, path in paths.items():
+        with open(path, "rb") as f:
+            actual = hashlib.sha256(f.read()).hexdigest()
+        if actual != digests[kind]:
+            differs.append(f"{name} {kind}: expected sha256 {digests[kind]}, got {actual}")
+    return differs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--starsched", default="starsched")
     args = parser.parse_args(argv)
-    golden = {name: load(name) for name in GOLDENS}
-    bad = []
+    command = shlex.split(args.starsched)
+
+    def run(options: list[str]) -> int:
+        return subprocess.run(command + options, stdout=subprocess.DEVNULL).returncode
+
+    manifest = load_manifest()
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, item, options in items(golden):
-            expected = golden[name][item]
-            paths = {kind: os.path.join(tmp, f"{item}.{kind}") for kind in expected}
-            command = shlex.split(args.starsched) + options
-            for kind, path in paths.items():
-                command += [OPTIONS[kind], path]
-            subprocess.run(command, check=True)
-            ok = True
-            for kind, path in paths.items():
-                with open(path, "rb") as f:
-                    data = f.read()
-                if kind == "timeline":
-                    ok &= hashlib.sha256(data).hexdigest() == expected[kind]
-                else:
-                    ok &= data == expected[kind].encode()
-            print(f"{item}: {'ok' if ok else 'DIFFERS'}")
-            if not ok:
-                bad.append(f"{name}/{item}")
-    if bad:
-        print(f"differ from the goldens in {GOLDEN_DIR}: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
+        for name, entry in manifest.items():
+            differs = check(name, entry, run, tmp)
+            print("\n".join(differs) or f"{name}: ok")
+            failed += bool(differs)
+    print(f"{len(manifest) - failed}/{len(manifest)} ok")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,16 +5,17 @@ resource figures, structural counts, or statistical behaviour the pipeline
 must reproduce.
 """
 
-import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import check_goldens
 from starsched.cli import run
 from starsched.estimator import (
     QcelsParams,
@@ -257,69 +258,45 @@ def test_13_seeded_commands_are_byte_identical(tmp_path, argv):
 
 
 # 14 ---------------------------------------------------------------------
+# Every pinned CLI output: the entries of tests/pins.json, run through cli.run
+# by the rule scripts/check_goldens.py runs the console script with.
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
-GOLDEN_ARGV = {
-    f"compile-{mode}-n{n}": ["compile-trotter", "--n", str(n), "--mode", mode]
-    for mode in ("plain", "controlled")
-    for n in range(2, 11)
-}
-GOLDEN_ARGV.update(
-    {f"estimate-n{n}": ["estimate", "--n", str(n), "--calibrate-nmax", str(N_MAX[n])] for n in N_MAX}
-)
+PINS = check_goldens.load_manifest()
+SEEDED = {name: "--seed" in entry["argv"] for name, entry in PINS.items() if "golden" in entry}
 
 
-@pytest.mark.parametrize("item", sorted(GOLDEN_ARGV))
-def test_14_unseeded_commands_match_golden_outputs(tmp_path, item):
-    workload = "compile-trotter-sweep" if item.startswith("compile") else "estimate-qcels"
-    golden = json.loads((GOLDEN / f"{workload}.json").read_text())["items"][item]
-    out, timeline = tmp_path / "out", tmp_path / "timeline"
-    extra = ["--timeline", str(timeline)] if "timeline" in golden else []
-    assert run(GOLDEN_ARGV[item] + ["--out", str(out)] + extra) == 0
-    assert out.read_text() == golden["out"]
-    if extra:
-        assert hashlib.sha256(timeline.read_bytes()).hexdigest() == golden["timeline"]
+@pytest.mark.parametrize("name", sorted(name for name, seeded in SEEDED.items() if not seeded))
+def test_14_unseeded_commands_match_golden_outputs(tmp_path, name):
+    assert check_goldens.check(name, PINS[name], run, tmp_path) == []
+
+
+def test_14_manifest_names_each_golden_item_once():
+    # a repeated key would collapse in a dict, so read the raw pairs
+    pairs = json.loads(Path(check_goldens.MANIFEST).read_text(), object_pairs_hook=list)
+    named = [(dict(entry)["golden"], name) for name, entry in pairs if "golden" in dict(entry)]
+    items = [(path.stem, item) for path in GOLDEN.glob("*.json")
+             for item in json.loads(path.read_text())["items"]]
+    assert sorted(named) == sorted(item for item in items if item[1] != "calibrate")
+
+
+def test_14_checker_names_the_entry_and_both_digests(tmp_path, monkeypatch, capsys):
+    name, entry = next((name, entry) for name, entry in PINS.items() if "sha256" in entry)
+    kind, digest = next(iter(entry["sha256"].items()))
+    flipped = digest[:-1] + ("1" if digest[-1] == "0" else "0")
+    manifest = tmp_path / "pins.json"
+    monkeypatch.setattr(check_goldens, "MANIFEST", str(manifest))
+    argv = ["--starsched", f"{sys.executable} -m starsched.cli"]
+    manifest.write_text(json.dumps({name: {**entry, "sha256": {**entry["sha256"], kind: flipped}}}))
+    assert check_goldens.main(argv) == 1
+    assert f"{name} {kind}: expected sha256 {flipped}, got {digest}" in capsys.readouterr().out
+    manifest.write_text(json.dumps({name: entry}))
+    assert check_goldens.main(argv) == 0
 
 
 # 15 ---------------------------------------------------------------------
-# The seeded Monte Carlo items of perfbench/workloads.py, with the argv it
-# runs them with at the golden seed: rus-adaptive (100 runs for each of its 12
-# batch shapes), rus-calibrate's naive and adaptive runs at the golden
-# calibrated rate (200 runs), and qcels-demo.
-SEEDED_GOLDEN = {
-    f"rus-m{m}-{basis}": (
-        "rus-adaptive",
-        ["simulate-rus", "--m", str(m), "--basis", basis, "--mode", "adaptive",
-         "--runs", "100", "--seed", "0"],
-    )
-    for m, basis in (
-        (12, "Z"), (12, "ZZ"), (16, "ZZ"), (30, "Z"), (30, "ZZ"), (36, "ZZ"),
-        (56, "Z"), (56, "ZZ"), (64, "ZZ"), (90, "Z"), (90, "ZZ"), (100, "ZZ"),
-    )
-}
-SEEDED_GOLDEN.update(
-    {
-        f"{mode}-m32": (
-            "rus-calibrate",
-            ["simulate-rus", "--m", "32", "--basis", "Z", "--p-pass", "{rate}",
-             "--mode", mode, "--runs", "200", "--seed", "0"],
-        )
-        for mode in ("naive", "adaptive")
-    }
-)
-SEEDED_GOLDEN["qcels-demo"] = ("estimate-qcels", ["qcels-demo", "--eps", "0.01", "--seed", "0"])
-
-
-@pytest.mark.parametrize("item", sorted(SEEDED_GOLDEN))
-def test_15_seeded_commands_match_golden_outputs(tmp_path, item):
-    workload, argv = SEEDED_GOLDEN[item]
-    items = json.loads((GOLDEN / f"{workload}.json").read_text())["items"]
-    rate = items["calibrate"]["rate"] if workload == "rus-calibrate" else ""
-    golden = items[item]
-    files = {kind: tmp_path / kind for kind in golden}
-    extra = [a for kind, path in files.items() for a in (f"--{kind}", str(path))]
-    assert run([a.format(rate=rate) for a in argv] + extra) == 0
-    for kind, path in files.items():
-        assert path.read_text() == golden[kind], kind
+@pytest.mark.parametrize("name", sorted(name for name, seeded in SEEDED.items() if seeded))
+def test_15_seeded_commands_match_golden_outputs(tmp_path, name):
+    assert check_goldens.check(name, PINS[name], run, tmp_path) == []
 
 
 def test_15_calibrated_rate_matches_golden():

@@ -1,6 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
-import hashlib
+import errno
 import json
 import math
 import os
@@ -13,6 +13,7 @@ from unittest import mock
 
 import pytest
 
+import check_goldens
 import starsched
 from starsched import cli
 from starsched.cli import run
@@ -89,49 +90,22 @@ def test_compile_trotter_timeline_written_atomically(tmp_path):
     assert timeline.read_text() == compile_step(3).timeline.to_jsonl()
 
 
-# SHA-256 of compile-trotter --timeline past the perfbench goldens (which
-# stop at n = 10), in sha256sum format: "<digest>  step_n<N>_<mode>.jsonl"
-with open(os.path.join(os.path.dirname(__file__), "timeline_digests.sha256")) as fh:
-    PINNED_TIMELINES = {name: digest for digest, name in map(str.split, fh)}
+# The entries of tests/pins.json that name no perfbench golden: timelines past
+# the goldens' n = 10 (test ids n-mode) and seeded runs no golden covers.
+PINS = {name: entry for name, entry in check_goldens.load_manifest().items() if "sha256" in entry}
+TIMELINE_PINS = sorted(name for name, entry in PINS.items() if entry["argv"][0] == "compile-trotter")
 
 
-@pytest.mark.parametrize("mode", ["plain", "controlled"])
-@pytest.mark.parametrize("n", range(11, 21))
-def test_timeline_bytes_are_pinned(tmp_path, n, mode):
-    name = f"step_n{n}_{mode}.jsonl"
-    timeline = tmp_path / name
-    argv = ["compile-trotter", "--n", str(n), "--mode", mode, "--timeline", str(timeline)]
-    assert run(argv + ["--out", str(tmp_path / "summary.json")]) == 0
-    assert hashlib.sha256(timeline.read_bytes()).hexdigest() == PINNED_TIMELINES[name]
+@pytest.mark.parametrize(
+    "name", TIMELINE_PINS, ids=[name.removeprefix("step_n").replace("_", "-") for name in TIMELINE_PINS]
+)
+def test_timeline_bytes_are_pinned(tmp_path, name):
+    assert check_goldens.check(name, PINS[name], run, tmp_path) == []
 
 
-# SHA-256 of seeded simulate-rus outputs whose runs refill their block of
-# uniforms, or whose trial passes refilled it when they could draw, which no
-# perfbench golden covers, in sha256sum format:
-# "<digest>  rus_<case>.json" (summary) and "<digest>  rus_<case>.csv" (--hist)
-with open(os.path.join(os.path.dirname(__file__), "rus_digests.sha256")) as fh:
-    PINNED_RUS = {name: digest for digest, name in map(str.split, fh)}
-
-PINNED_RUS_ARGV = {
-    "rus_m150_ZZ_p0.8": ["--m", "150", "--basis", "ZZ", "--p-pass", "0.8", "--runs", "40"],
-    "rus_m100_ZZ_p0.3": ["--m", "100", "--basis", "ZZ", "--p-pass", "0.3", "--runs", "100"],
-    "rus_m1_naive_p0.01": ["--m", "1", "--mode", "naive", "--p-pass", "0.01", "--runs", "50"],
-    # shipped-rate adaptive runs at seeds the goldens do not use
-    **{
-        f"rus_m{m}_{basis}_seed{seed}": ["--m", str(m), "--basis", basis, "--mode",
-                                         "adaptive", "--runs", "100", "--seed", str(seed)]
-        for m, basis, seed in ((56, "Z", 1), (56, "ZZ", 1), (36, "ZZ", 2), (64, "ZZ", 4))
-    },
-}
-
-
-@pytest.mark.parametrize("case", sorted(PINNED_RUS_ARGV))
-def test_simulate_rus_bytes_are_pinned(tmp_path, case):
-    summary, hist = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
-    argv = ["simulate-rus", *PINNED_RUS_ARGV[case], "--out", str(summary), "--hist", str(hist)]
-    assert run(argv) == 0
-    for path in (summary, hist):
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_RUS[path.name]
+@pytest.mark.parametrize("name", sorted(set(PINS) - set(TIMELINE_PINS)))
+def test_simulate_rus_bytes_are_pinned(tmp_path, name):
+    assert check_goldens.check(name, PINS[name], run, tmp_path) == []
 
 
 def test_outputs_follow_umask(tmp_path):
@@ -181,6 +155,29 @@ def test_fifo_output_is_written_in_place(tmp_path):
     assert received == [b"through the pipe\n"]
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_failed_rename_leaves_no_temp_file_and_names_the_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "replace", mock.Mock(side_effect=OSError(errno.EXDEV, "cross-device")))
+    path = str(tmp_path / "out.txt")
+    with pytest.raises(OSError) as info:
+        cli.write_atomic(path, "bytes\n")
+    assert (info.value.errno, info.value.filename) == (errno.EXDEV, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_write_is_reraised_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    interrupt, fdopen = KeyboardInterrupt(), os.fdopen
+
+    def interrupted(fd, mode):
+        fh = fdopen(fd, mode)
+        fh.write = mock.Mock(side_effect=interrupt)
+        return fh
+
+    monkeypatch.setattr(cli.os, "fdopen", interrupted)
+    with pytest.raises(KeyboardInterrupt) as info:
+        cli.write_atomic(str(tmp_path / "out.txt"), "bytes\n")
+    assert info.value is interrupt and list(tmp_path.iterdir()) == []
 
 
 # Spacings this small put the smallest level's half spacing below 2^-1022, so
@@ -440,6 +437,34 @@ def test_missing_output_directory_names_the_path(tmp_path, capsys, argv, option)
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+
+# error paths no other test reaches: argv, exit code and the one stderr line; a
+# JSON value in the last place is written to a file passed in its stead
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["estimate", "--config", [1]], 1, "error: config must be a JSON object"),
+        (["estimate", "--config", {"model": 3}], 1, "error: config section 'model' must be an object"),
+        (["estimate", "--n", "10", "--calibrate-nmax", "8538", "--config", {"code": {"p_phys": 0.0099}}],
+         2, "infeasible: no code distance up to 51 meets the error budget"),
+        (["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.0]}],
+         1, "error: phases and weights must align"),
+        (["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.5, -0.5]}],
+         1, "error: weights must be nonnegative"),
+        (["estimate", "--n", "1", "--calibrate-nmax", "3397"],
+         1, "error: lattice size must be at least 2, got 1"),
+        (["compare-serial", "--n", "1"], 1, "error: lattice size must be at least 2, got 1"),
+    ],
+)
+def test_error_path_exit_code_and_message(tmp_path, capsys, argv, code, message):
+    if not isinstance(argv[-1], str):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    assert run(argv) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_runaway_rus_run_is_infeasible(capsys):
