@@ -2,13 +2,13 @@
 
     python3 scripts/check_goldens.py [--starsched CMD]
 
-Runs each of the 64 entries of tests/pins.json, one line each, through the
-console script CMD (default: starsched) in a temporary directory, writing each
-output it pins (--out, --hist, --timeline), and compares the output's SHA-256
-with the pinned one.  An entry's outputs are pinned either by "golden", the
-perfbench/golden file whose item of the entry's name holds them (37 entries:
-"out" and "hist" bytes, a "timeline" digest; "{rate}" in the argv is the
-file's calibrated pass rate), or by "sha256", each output's digest (27).  A
+Runs each entry of tests/pins.json, one line each, through the console
+script CMD (default: starsched) in a temporary directory, writing each output
+it pins (--out, --hist, --timeline), and compares the output's SHA-256 with
+the pinned one.  An entry's outputs are pinned either by "golden", the
+perfbench/golden file whose item of the entry's name holds them ("out" and
+"hist" bytes, a "timeline" digest; "{rate}" in the argv is the file's
+calibrated pass rate), or by "sha256", each output's digest.  A
 declared change to an output edits its entry's line.  Prints each entry as ok
 or, per output that differs, the entry, the output and both digests; exits 1
 if any differs.  The tier-1 tests run the same entries through

@@ -25,7 +25,7 @@ import stat
 import statistics
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .estimator import EstimatorConfig, InfeasibleModel, _real, build_report, parse_config
 from .injection import ANGLE_CAP, SHIPPED_CONFIGS, effective_angle
@@ -184,7 +184,7 @@ def cmd_estimate(args) -> int:
                 raise ValueError(f"config is not valid JSON: {exc}") from None
         cfg = parse_config(obj)
     report = build_report(args.n, cfg, calibrate_nmax=args.calibrate_nmax)
-    _emit(args, report.to_json() + "\n")
+    _emit(args, _json_text(asdict(report)))
     return 0
 
 

@@ -8,10 +8,9 @@ All eigenphases are normalized by π/λ so the spectrum fits in [-π, π).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .hubbard import HubbardSpec, one_norm
 from .injection import SHIPPED_CONFIGS, InfeasibleModel, pec_sampling_factor, rus_error_rate
@@ -330,9 +329,6 @@ class EstimateReport:
     max_runtime_s: float
     total_runtime_s: float
     n_qubit: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True, allow_nan=False)
 
 
 def build_report(

@@ -20,17 +20,22 @@ In adaptive mode a completing process frees its region at once, and each
 clock with completions that leaves processes ongoing ends with one
 ``update_injection_regions``, so every draw sees its region's exact size.
 
-Each run first tries ``_trial_pass``.  While every draw lands below its
-threshold at the batch's common initial size, no draw depends on regrowth
-and the run reads one fixed sequence, checked a trial's draws and coins at
-a time, in the run's first block.  At the shipped pass rate runs end there;
-a failed draw, the clock cap or a trial that might read past the block
-hands the run to the per-clock loop, from the block's first uniform.
+Runs go in chunks of as many as ``CHUNK_DOUBLES`` (2^14) doubles of first
+blocks hold, and at least one.  ``_chunk_pass`` runs a chunk trial by trial
+as numpy arrays while every draw lands below its threshold at the batch's
+common initial size: then no draw depends on regrowth, and each run reads
+one fixed sequence in its first block.  At the shipped pass rate runs end
+there; a failed draw, the clock cap or a trial that might read past the
+block hands a run to the per-clock loop, from the block's first uniform.
+The completions, the first error and the ``success_prob`` calls are those
+of running each run through the pass and then the clock loop before the
+next: before the pass first needs a threshold, the runs that left it below
+its lowest remaining run go through the clock loop, in index order.
 
 Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
-generator states are computed by ``seeding`` in one batched pass per chunk
-of runs, so no ``SeedSequence`` is built per run.  Its uniforms come in
-blocks sized so that one covers a shipped-rate run.
+generator states are computed by ``seeding`` in one batched pass per
+``seeding.CHUNK`` runs, so no ``SeedSequence`` is built per run.  Its
+uniforms come in blocks sized so that one covers a shipped-rate run.
 
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.
@@ -43,6 +48,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from . import seeding
 from .fabric import bit_grid
@@ -66,6 +72,11 @@ MAX_RUN_CLOCKS = 1_000_000
 # unread.  The floor serves small batches at low pass rates.
 RNG_BLOCK = 256
 RNG_BLOCK_PER_PROCESS = 8
+
+# The trial pass takes a call's runs in chunks of as many as this many doubles
+# of first blocks hold (128 KiB), and at least one, so its arrays stay small
+# however many runs a call makes.
+CHUNK_DOUBLES = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -216,70 +227,88 @@ def _thresholds(theta_star: float, cfg: InjectionConfig):
     return q
 
 
-def _trial_pass(batch, q, first: float, adaptive: bool, buf):
-    """(clock, uniforms read, largest trial index) of the run trial by trial
-    while every draw lands below its threshold at the batch's common initial
-    region size; None leaves it to the clock loop.
+def _chunk_pass(batch, u, adaptive: bool, level, done) -> None:
+    """Run a chunk of runs trial by trial, all at once, while every draw lands
+    below its threshold at the batch's common initial region size.
 
-    Then no draw depends on regrowth, and a trial reads one draw per ongoing
-    process (its injection in naive mode, its next trial's pre-injection in
-    adaptive mode), then one coin each.  Reads only ``buf``, the run's first
-    block: declines if a trial's 2·n uniforms might not fit in it, a draw
-    fails or a clock passes ``MAX_RUN_CLOCKS``.  Evaluates q only where the
-    clock loop does.
+    Row r of ``u`` is run r's first block.  While every draw succeeds, no
+    draw depends on regrowth, and a trial reads one draw per ongoing process
+    (its injection in naive mode, its next trial's pre-injection in adaptive
+    mode), then one coin each.  As run r completes, sets ``done[r]`` to its
+    (clock, uniforms read, largest trial index, blocks drawn).  A run
+    declines, leaving its row, if a draw fails, a clock passes
+    ``MAX_RUN_CLOCKS`` or a trial's 2·n uniforms might not fit in its block.
+    ``level(k, r)`` is q(k, size), asked for only where the clock loop
+    evaluates it, with r the lowest row still in the pass.
     """
-    m, meas, size = len(batch[0]), batch[3], batch[4]
-    # clock 1: every process draws its first injection; the first draw
-    # alone settles most declines
-    if buf[0] >= first or max(buf[:m]) >= first:
-        return None
-    pos, t, k, n = m, 1, 1, m
-    while True:
+    import numpy as np
+
+    m, meas = len(batch[0]), batch[3]
+    runs, width = u.shape
+    flat = u.ravel()
+    # a column per run in the pass: its row, the flat index of its next
+    # uniform, its ongoing processes and the end of its block
+    rows = np.arange(runs)
+    live = np.array([rows, rows * width, np.full(runs, m), rows * width + width])
+
+    def marked(where):
+        """How many of each run's next n uniforms lie at the flat indices ``where``."""
+        _, at, n, _ = live
+        return where.searchsorted(at + n) - where.searchsorted(at)
+
+    def draw(threshold):
+        """The runs whose next n uniforms all lie below the threshold, past them."""
+        kept = live[:, marked(np.flatnonzero(flat >= threshold)) == 0]
+        kept[1] += kept[2]
+        return kept
+
+    live = draw(level(1, 0))  # clock 1: every process draws its first injection
+    if not live.shape[1]:
+        return
+    heads = np.flatnonzero(u >= 0.5)  # the coins that fail
+    t = k = 1
+    while live.shape[1] and t + meas <= MAX_RUN_CLOCKS:
         # trial k measures over clocks t + 1 .. t + meas, its coins at the last
-        if t + meas > MAX_RUN_CLOCKS or pos + 2 * n > len(buf):
-            return None
-        if adaptive:  # pre-injections at clock t + 1
-            if max(buf[pos : pos + n]) >= q(k + 1, size):
-                return None
-            pos += n
-        coins = buf[pos : pos + n]
-        pos += n
+        room = live[3] - live[1] - 2 * live[2]
+        if room.min() < 0:  # a run's 2·n uniforms might not fit in its block
+            live = live[:, room >= 0]
+        if adaptive and live.shape[1]:  # pre-injections at clock t + 1
+            live = draw(level(k + 1, live[0, 0]))
+        failed = marked(heads)
+        _, at, n, _ = live
+        at += n
+        n[:] = failed  # failures go on to trial k + 1
         t += meas
-        n = sum(map((0.5).__le__, coins))  # failures go on to trial k + 1
-        if not n:
-            return t, pos, k
+        if not n.all():
+            for r, at_r, n_r in zip(*live[:3].tolist()):
+                if not n_r:
+                    done[r] = (t, at_r - r * width, k, [u[r]])
+            live = live[:, n.astype(bool)]
         k += 1
-        if not adaptive:  # injections at clock t + 1
-            if t >= MAX_RUN_CLOCKS or max(buf[pos : pos + n]) >= q(k, size):
-                return None
-            pos += n
+        if not adaptive and live.shape[1]:  # injections at clock t + 1
+            if t >= MAX_RUN_CLOCKS:
+                return
+            live = draw(level(k, live[0, 0]))
             t += 1
 
 
-def _simulate_run(batch, q, first: float, adaptive: bool, state, run_idx: int):
-    """One run of a batch: (completion clock, uniforms read, largest trial
-    index, blocks drawn).
+def _clock_loop(batch, q, first: float, adaptive: bool, rng, block, run_idx: int):
+    """One run by the per-clock rules: (completion clock, uniforms read,
+    largest trial index, blocks drawn).
 
     ``first`` is the first-trial chance q(1, size), the same for every
-    process and every run at one pass rate.  ``state`` is the run's row of
-    ``seeding.generate_states``: for run i of seed s, the uniforms read are
-    the first ones of ``default_rng((s, i))``, seeded in one batched pass
-    with the other runs, and of the blocks' concatenation.
-    ``_trial_pass`` reads the first block; if it declines, the clock loop
-    runs the run from that block's first uniform, and refills (drops the
-    read uniforms and draws as many) at a clock starting with < 2·M unread.
+    process and every run at one pass rate.  The run reads ``block``, its
+    first block, from the first uniform, and refills (drops the read
+    uniforms and draws as many from ``rng``, its generator) at a clock
+    starting with < 2·M unread.
     """
     regions0, free0, grow, meas_clocks, size0 = batch
     m = len(regions0)
     # A clock draws at most one uniform per ongoing process plus one coin per
     # finishing process, so a clock starting with 2·m unread never runs out.
-    block = max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS * m)
-    refill_at = block - 2 * m
-    rng = seeding.generator(state)
-    blocks = [rng.random(block)]
-    buf = blocks[0].tolist()
-    if found := _trial_pass(batch, q, first, adaptive, buf):
-        return *found, blocks
+    refill_at = len(block) - 2 * m
+    blocks = [block]
+    buf = block.tolist()
     pos = drawn = 0
     # A process is ongoing while its pid is a key of live; it is measuring
     # while meas_left > 0 and awaiting an ancilla otherwise.  In adaptive
@@ -350,6 +379,53 @@ def _simulate_run(batch, q, first: float, adaptive: bool, state, run_idx: int):
                         now[pid] = q(k[pid], size[pid])
 
 
+def _simulate_runs(batch, q, adaptive: bool, seed: int, indices):
+    """(completion clock, uniforms read, largest trial index, blocks drawn)
+    of the runs ``indices`` of ``seed``, in order.  A run's first block is a
+    row of one array that the next chunk's runs overwrite.
+
+    Run i draws the stream of ``default_rng((seed, i))`` from its row of
+    ``seeding.states``, one generator per run.  Runs go in chunks of as many
+    as ``CHUNK_DOUBLES`` doubles of first blocks hold, and at least one:
+    each run draws its first block into its row of the chunk's array,
+    ``_chunk_pass`` runs the chunk, and each run it declines goes through
+    the clock loop from its block's first uniform.  Before the pass asks for
+    a threshold that no pass of the call has evaluated, the declined runs
+    below its lowest run go through the clock loop, in index order; so
+    ``success_prob`` is called, and the first error raised, as when each
+    run goes through the pass and then the clock loop before the next.
+    """
+    import numpy as np
+
+    m, size = len(batch[0]), batch[4]
+    width = max(RNG_BLOCK, RNG_BLOCK_PER_PROCESS * m)
+    per_chunk = max(1, CHUNK_DOUBLES // width)
+    levels = [q(1, size)]  # q(k, size) for k = 1, 2, ..., as the pass needs them
+    states = seeding.states((seed, i) for i in indices)
+    first_blocks = np.empty((min(per_chunk, len(indices)), width))
+    for start in range(0, len(indices), per_chunk):
+        chunk = indices[start : start + per_chunk]
+        u = first_blocks[: len(chunk)]
+        rngs = [seeding.generator(state) for state in islice(states, len(chunk))]
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        done = [None] * len(chunk)
+
+        def clock_loop(r):
+            return _clock_loop(batch, q, levels[0], adaptive, rngs[r], u[r], chunk[r])
+
+        def level(k, lowest):
+            if k > len(levels):
+                for r in range(lowest):
+                    done[r] = done[r] or clock_loop(r)
+                levels.append(q(k, size))
+            return levels[k - 1]
+
+        _chunk_pass(batch, u, adaptive, level, done)
+        for r, found in enumerate(done):
+            yield found or clock_loop(r)
+
+
 def simulate_parallel_rus(
     m: int,
     basis: str,
@@ -367,9 +443,10 @@ def simulate_parallel_rus(
     next trial's ancilla during measurement clocks (one buffered state at
     most), and a clock with completions ends by regrowing the ongoing
     regions over the freed patches; naive mode keeps the fixed initial
-    regions and no pre-injection.  A run whose draws all succeed is checked
-    trial by trial (module docstring), with the same completions as the
-    per-clock rules below.
+    regions and no pre-injection.  Runs whose draws all succeed are checked
+    trial by trial, a chunk of runs at a time (module docstring), with the
+    same completions, first error and ``success_prob`` calls as the
+    per-clock rules below applied to one run after another.
 
     Run i draws from the stream of ``np.random.default_rng((seed, i))`` in
     a fixed order, which every seeded output depends on; the runs' streams
@@ -384,15 +461,10 @@ def simulate_parallel_rus(
         raise ValueError(f"mode must be naive or adaptive, got {mode!r}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    batch = _batch(m, basis)
-    q = _thresholds(theta_star, cfg)
-    first = q(1, batch[4])
-    adaptive = mode == "adaptive"
-    states = seeding.states((seed, i) for i in range(runs))
-    completions = tuple(
-        _simulate_run(batch, q, first, adaptive, state, i)[0]
-        for i, state in enumerate(states)
+    runs_found = _simulate_runs(
+        _batch(m, basis), _thresholds(theta_star, cfg), mode == "adaptive", seed, range(runs)
     )
+    completions = tuple(found[0] for found in runs_found)
     return RusStats(completions, runs, seed)
 
 
@@ -409,10 +481,10 @@ def calibrate_p_pass(
 
     Bisects on log10(p_pass) over [1e-4, 1]; the naive mean is monotone
     decreasing in the pass rate.  Every step averages the same ``runs``
-    seeded naive runs that ``simulate_parallel_rus`` makes, and returns the
-    same mean, but reuses a run's completion clock from any earlier step
-    when no uniform the run read there lies between that step's threshold
-    and the new one.
+    seeded naive runs that ``simulate_parallel_rus`` makes, through the same
+    chunked trial pass and clock loop, and returns the same mean, but
+    reuses a run's completion clock from any earlier step when no uniform
+    the run read there lies between that step's threshold and the new one.
 
     That reuse is exact.  With its uniforms fixed, a naive run depends on
     the pass rate only through its comparisons ``u < q(k, l)``: the regions
@@ -458,11 +530,10 @@ def calibrate_p_pass(
             exact = ((below < at) & (at <= above)).all(axis=1)
             clocks[idx[exact]] = done[exact]
         total = int(clocks[clocks >= 0].sum())
-        first = q(1, size)
         idx, done, lows, highs = [], [], [], []
         todo = np.flatnonzero(clocks < 0).tolist()
-        for i, state in zip(todo, seeding.states((seed, i) for i in todo)):
-            t, drawn, max_k, blocks = _simulate_run(batch, q, first, False, state, i)
+        runs_found = _simulate_runs(batch, q, False, seed, todo)
+        for i, (t, drawn, max_k, blocks) in zip(todo, runs_found):
             if max_k > len(level):
                 level = levels(max_k)
             u = np.concatenate(blocks)[:drawn]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import check_goldens
+from starsched import cli
 from starsched.cli import run
 from starsched.estimator import (
     QcelsParams,
@@ -291,6 +292,18 @@ def test_14_checker_names_the_entry_and_both_digests(tmp_path, monkeypatch, caps
     assert f"{name} {kind}: expected sha256 {flipped}, got {digest}" in capsys.readouterr().out
     manifest.write_text(json.dumps({name: entry}))
     assert check_goldens.main(argv) == 0
+
+
+def test_14_estimate_pins_follow_the_one_json_writer(tmp_path, monkeypatch):
+    # every JSON summary goes through cli._json_text: one byte more there
+    # must break each estimate pin as it breaks the other summaries
+    writer = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: writer(obj) + " ")
+    names = [name for name, entry in PINS.items() if entry["argv"][0] == "estimate"]
+    assert len(names) == 4
+    for name in names:
+        differs = check_goldens.check(name, PINS[name], run, tmp_path)
+        assert [line.split()[:2] for line in differs] == [[name, "out:"]]
 
 
 # 15 ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from dataclasses import asdict
 from unittest import mock
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from starsched import estimator
+from starsched.cli import _json_text
 from starsched.estimator import (
     EstimatorConfig,
     InfeasibleModel,
@@ -374,7 +376,7 @@ def test_report_meets_the_calibration_target(n, target):
 
 def test_report_json_round_trips():
     report = build_report(4, calibrate_nmax=3397)
-    obj = json.loads(report.to_json())
+    obj = json.loads(_json_text(asdict(report)))
     assert obj["n"] == 4
     assert obj["n_qubit"] == (4 * 16 + 1) * 2 * obj["d"] ** 2
     assert obj["n_max"] <= obj["n_total"]

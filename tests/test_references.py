@@ -1,10 +1,13 @@
 """Every top-level function and class in ``src/starsched`` has a use in
-``src/starsched`` outside its own definition, unless listed below."""
+``src/starsched`` outside its own definition, unless listed below, and every
+``BENCH_*.json`` file the README names exists."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "starsched"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "starsched"
 
 # "module.name" -> why it stays with no use in src/
 ALLOWED = {
@@ -40,3 +43,9 @@ def unreferenced(src: Path) -> set[str]:
 def test_every_definition_is_used_in_src():
     # equality, not inclusion: an entry whose name gained a use must go too
     assert unreferenced(SRC) == set(ALLOWED)
+
+
+def test_every_bench_file_the_readme_names_exists():
+    named = set(re.findall(r"BENCH_\w+\.json", (ROOT / "README.md").read_text()))
+    assert len(named) > 1
+    assert sorted(name for name in named if not (ROOT / name).is_file()) == []

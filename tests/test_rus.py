@@ -20,10 +20,13 @@ bitmasks, reads the same uniforms from blocks and keeps each awaiting
 process's chance.  Both regrow regions at the end of every clock with
 completions that leaves processes ongoing, and must return the same
 completions, or raise the same error, after the same ``success_prob`` calls.
-``_trial_pass`` runs a run trial by trial while every draw succeeds at the
-initial region size; patched to decline, it leaves every run to the clock
-loop, which must return the same clock, count of uniforms read and largest
-trial index, read the same uniforms, and regrow as often as the reference.
+``_chunk_pass`` runs a chunk of runs trial by trial while every draw
+succeeds at the initial region size; patched to decline, it leaves every run
+to the clock loop, which must return the same clock, count of uniforms read
+and largest trial index, read the same uniforms, and regrow as often as the
+reference.  ``reference_trial_pass`` is the original pass, one run at a
+time; with the chunk budget patched to 1-3 runs, chunks end at every
+boundary the suite samples.
 
 ``reference_calibrate_p_pass`` is the original calibration: every bisection
 step runs all its naive runs through ``simulate_parallel_rus``.
@@ -575,27 +578,23 @@ def regrowth_calls(*args) -> tuple[tuple[int, ...], int]:
     return completions, kernel.call_count
 
 
-def trial_count_mismatches(m, basis, trial_pass):
+def trial_count_mismatches(m, basis, chunk_pass):
     """Runs 0..199 at seed 0 whose completion clock breaks the per-run law
-    of the shipped pass rate, each run through ``trial_pass`` first."""
+    of the shipped pass rate, each chunk of runs through ``chunk_pass``
+    first."""
     # at SHIPPED_CONFIGS[9] an injection clock fails with chance 2.7e-15 at
     # trial 1 (7.1e-10 at trial 10), so a run's completion clock is fixed by
     # its largest trial index K: 1 + meas·K adaptive, (1 + meas)·K naive.
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
-    first = q(1, batch[4])
     meas = len(basis)
     mismatches = []
-    with mock.patch.object(rus, "_trial_pass", trial_pass):
-        for i in range(200):
-            adaptive, _, k, _ = rus._simulate_run(
-                batch, q, first, True, generate_states([(0, i)])[0], i
-            )
-            naive, _, k_naive, _ = rus._simulate_run(
-                batch, q, first, False, generate_states([(0, i)])[0], i
-            )
-            if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
-                mismatches.append((i, adaptive, k, naive, k_naive))
+    with mock.patch.object(rus, "_chunk_pass", chunk_pass):
+        by_mode = [list(rus._simulate_runs(batch, q, adaptive, 0, range(200)))
+                   for adaptive in (True, False)]
+    for i, ((adaptive, _, k, _), (naive, _, k_naive, _)) in enumerate(zip(*by_mode)):
+        if (adaptive, naive) != (1 + meas * k, (1 + meas) * k_naive):
+            mismatches.append((i, adaptive, k, naive, k_naive))
     return mismatches
 
 
@@ -616,8 +615,7 @@ def test_trial_pass_completion_follows_trial_count(m, basis):
 
 
 def decline(*args):
-    """A ``_trial_pass`` that leaves every run to the clock loop."""
-    return None
+    """A ``_chunk_pass`` that leaves every run to the clock loop."""
 
 
 @given(**SIMULATION_CASES)
@@ -639,7 +637,7 @@ def test_clock_loop_regrows_at_every_clock_with_completions(
     ):
         counted = mock.Mock(wraps=namespace[kernel])
         with mock.patch.dict(namespace, {kernel: counted}):
-            with mock.patch.object(rus, "_trial_pass", decline):
+            with mock.patch.object(rus, "_chunk_pass", decline):
                 try:
                     simulate(*args)
                 except ValueError:  # AngleCapError
@@ -650,31 +648,42 @@ def test_clock_loop_regrows_at_every_clock_with_completions(
 
 
 def trial_pass_spy():
-    """A wrapper of ``_trial_pass`` that logs, per call, "done", "declined"
-    or the error."""
+    """A wrapper of ``_chunk_pass`` that logs, per run of each chunk in
+    order, "done" or "declined"; if the pass raises, "done" per run it
+    completed, then the error."""
     log = []
-    trial_pass = rus._trial_pass
+    chunk_pass = rus._chunk_pass
 
-    def spy(batch, q, first, adaptive, buf):
+    def spy(batch, u, adaptive, level, done):
+        looped = set()
+
+        def watched(k, lowest):  # notes the rows its clock loops fill
+            before = [found is None for found in done]
+            try:
+                return level(k, lowest)
+            finally:
+                looped.update(r for r, was in enumerate(before) if was and done[r])
+
         try:
-            found = trial_pass(batch, q, first, adaptive, buf)
+            chunk_pass(batch, u, adaptive, watched, done)
         except ValueError as exc:
+            log.extend("done" for r, found in enumerate(done) if found and r not in looped)
             log.append(type(exc).__name__)
             raise
-        log.append("done" if found else "declined")
-        return found
+        log.extend("done" if found and r not in looped else "declined"
+                   for r, found in enumerate(done))
 
     return spy, log
 
 
-def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
-    """``run_outcome`` of one run through ``trial_pass`` and then through the
-    clock loop alone.  Only the uniforms read are compared: the clock loop
-    may draw a refill that the pass never needs."""
+def pass_and_clock_loop(chunk_pass, batch, q, adaptive, seed, runs):
+    """``run_outcomes`` of runs 0..runs - 1 through ``chunk_pass`` and then
+    through the clock loop alone.  Only the uniforms read are compared: the
+    clock loop may draw a refill that the pass never needs."""
     found = []
-    for pass_first in (trial_pass, decline):
-        with mock.patch.object(rus, "_trial_pass", pass_first):
-            found.append(run_outcome(batch, q, first, adaptive, seed, i))
+    for pass_first in (chunk_pass, decline):
+        with mock.patch.object(rus, "_chunk_pass", pass_first):
+            found.append(run_outcomes(batch, q, adaptive, seed, range(runs)))
     return found
 
 
@@ -684,12 +693,11 @@ def pass_and_clock_loop(trial_pass, batch, q, first, adaptive, seed, i):
 def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
-    first = q(1, batch[4])
     spy, log = trial_pass_spy()
-    for i in range(200):
-        by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, first, adaptive, 0, i)
-        assert by_pass == by_clock_loop, i
-    assert set(log) == {"done"}
+    by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, adaptive, 0, 200)
+    for i, (found, want) in enumerate(zip(by_pass, by_clock_loop)):
+        assert found == want, i
+    assert len(log) == 200 and set(log) == {"done"}
 
 
 @pytest.mark.parametrize("m", [100, 150])
@@ -701,30 +709,33 @@ def test_trial_pass_declined_at_the_window_matches_clock_loop(m, mode, factor):
     # so about half the passes complete trial 1 and then decline.
     batch = rus._batch(m, "ZZ")
     q = rus._thresholds(1e-8, CFG)
-    first = q(1, batch[4])
     spy, log = trial_pass_spy()
     with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
         assert max(rus.RNG_BLOCK, factor * m) >= 3 * m
-        for i in range(40):
-            by_pass, by_clock_loop = pass_and_clock_loop(
-                spy, batch, q, first, mode == "adaptive", 1, i
-            )
-            assert by_pass == by_clock_loop, i
-            if log[-1] == "declined":
-                assert by_clock_loop[2] > 1, i  # trial 1 left processes ongoing
+        by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, mode == "adaptive", 1, 40)
+    assert len(log) == 40
+    for i, (found, want) in enumerate(zip(by_pass, by_clock_loop)):
+        assert found == want, i
+        if log[i] == "declined":
+            assert want[2] > 1, i  # trial 1 left processes ongoing
     assert {"done", "declined"} <= set(log)
 
 
-def run_outcome(batch, q, first, adaptive, seed, i):
-    """(clock, uniforms read, largest trial index, the uniforms read) of one
-    run, or the error's type and message."""
+def run_outcomes(batch, q, adaptive, seed, indices):
+    """(clock, uniforms read, largest trial index, the uniforms read) of each
+    run of ``indices``, simulated in one call."""
+    return [
+        (t, read, max_k, np.concatenate(blocks)[:read].tolist())
+        for t, read, max_k, blocks in rus._simulate_runs(batch, q, adaptive, seed, indices)
+    ]
+
+
+def run_outcome(batch, q, adaptive, seed, i):
+    """``run_outcomes`` of run i alone, or the error's type and message."""
     try:
-        t, read, max_k, blocks = rus._simulate_run(
-            batch, q, first, adaptive, generate_states([(seed, i)])[0], i
-        )
+        return run_outcomes(batch, q, adaptive, seed, [i])[0]
     except ValueError as exc:  # AngleCapError and InfeasibleModel
         return type(exc), str(exc)
-    return t, read, max_k, np.concatenate(blocks)[:read].tolist()
 
 
 @given(
@@ -741,25 +752,24 @@ def test_run_does_not_depend_on_the_block_length(m, basis, adaptive, p_pass, see
     # refills at nearly every clock, 40 almost never
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
-    first = q(1, batch[4])
     found = []
     for factor in (2, 8, 40):
         with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
-            found.append(run_outcome(batch, q, first, adaptive, seed, i))
+            found.append(run_outcome(batch, q, adaptive, seed, i))
     assert found[0] == found[1] == found[2]
 
 
 def blocks_drawn(*args) -> list[int]:
     """The number of blocks each run of ``simulate_parallel_rus(*args)`` drew."""
-    simulate_run = rus._simulate_run
+    simulate_runs = rus._simulate_runs
     blocks = []
 
     def counted(*run_args):
-        found = simulate_run(*run_args)
-        blocks.append(len(found[3]))
-        return found
+        for found in simulate_runs(*run_args):
+            blocks.append(len(found[3]))
+            yield found
 
-    with mock.patch.object(rus, "_simulate_run", counted):
+    with mock.patch.object(rus, "_simulate_runs", counted):
         simulate_parallel_rus(*args)
     return blocks
 
@@ -788,10 +798,13 @@ def test_angle_cap_error_leaves_the_trial_pass_once():
     # the pass evaluates q(28) where the clock loop would, and its error is
     # the run's: the clock loop does not run the run again
     spy, log = trial_pass_spy()
-    with mock.patch.object(rus, "_trial_pass", spy):
+    clock_loop = mock.Mock(wraps=rus._clock_loop)
+    with mock.patch.object(rus, "_chunk_pass", spy), \
+            mock.patch.object(rus, "_clock_loop", clock_loop):
         reference, change = outcomes(36, "ZZ", 1e-8, CFG, "adaptive", 100, 909)
     assert change == reference
     assert log[-1] == "AngleCapError" and set(log[:-1]) == {"done"}
+    assert clock_loop.call_count == 0
 
 
 def test_rus_adaptive_shapes_never_enter_the_clock_loop():
@@ -799,11 +812,168 @@ def test_rus_adaptive_shapes_never_enter_the_clock_loop():
     shapes = golden_adaptive_trials()
     assert len(shapes) == 12
     spy, log = trial_pass_spy()
-    with mock.patch.object(rus, "_trial_pass", spy):
+    with mock.patch.object(rus, "_chunk_pass", spy):
         for (m, basis), counts in shapes.items():
             runs = sum(counts.values())
             simulate_parallel_rus(m, basis, 1e-8, CFG, "adaptive", runs, 0)
     assert len(log) == 1200 and set(log) == {"done"}
+
+
+def reference_trial_pass(batch, q, adaptive, buf):
+    """The trial pass of one run, as ``src/`` once ran it: the run's (clock,
+    uniforms read, largest trial index), or the trial at which it declines
+    (0 at clock 1)."""
+    m, meas, size = len(batch[0]), batch[3], batch[4]
+    if max(buf[:m]) >= q(1, size):
+        return 0
+    pos, t, k, n = m, 1, 1, m
+    while True:
+        if t + meas > MAX_RUN_CLOCKS or pos + 2 * n > len(buf):
+            return k
+        if adaptive:
+            if max(buf[pos : pos + n]) >= q(k + 1, size):
+                return k
+            pos += n
+        coins = buf[pos : pos + n]
+        pos += n
+        t += meas
+        n = sum(coin >= 0.5 for coin in coins)
+        if not n:
+            return t, pos, k
+        k += 1
+        if not adaptive:
+            if t >= MAX_RUN_CLOCKS or max(buf[pos : pos + n]) >= q(k, size):
+                return k
+            pos += n
+            t += 1
+
+
+def first_blocks(m, seed, runs):
+    """The first blocks of runs 0..runs - 1 of ``seed`` at M processes."""
+    width = max(rus.RNG_BLOCK, rus.RNG_BLOCK_PER_PROCESS * m)
+    return np.array([seeding.generator(state).random(width)
+                     for state in generate_states([(seed, i) for i in range(runs)])])
+
+
+def chunk_pass_outcomes(batch, q, adaptive, u):
+    """What ``_chunk_pass`` sets per row of ``u``, and the (k, lowest row)
+    of each threshold it asks for."""
+    asked = []
+
+    def level(k, lowest):
+        asked.append((k, lowest))
+        return q(k, batch[4])
+
+    done = [None] * len(u)
+    rus._chunk_pass(batch, u, adaptive, level, done)
+    return done, asked
+
+
+@given(
+    m=st.integers(1, 40),
+    basis=st.sampled_from(["Z", "ZZ"]),
+    adaptive=st.booleans(),
+    p_pass=st.one_of(st.just(CFG.p_pass), st.floats(0.02, 1)),
+    seed=st.integers(0, 2**16),
+    runs=st.integers(1, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunk_pass_completes_what_the_pass_of_each_run_completes(
+    m, basis, adaptive, p_pass, seed, runs
+):
+    batch = rus._batch(m, basis)
+    q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
+    u = first_blocks(m, seed, runs)
+    done, asked = chunk_pass_outcomes(batch, q, adaptive, u)
+    by_run = [reference_trial_pass(batch, q, adaptive, row.tolist()) for row in u]
+    assert [found and found[:3] for found in done] == [
+        found if isinstance(found, tuple) else None for found in by_run
+    ]
+    # a completed run's one block is its row
+    assert all(len(found[3]) == 1 and (found[3][0] == u[r]).all()
+               for r, found in enumerate(done) if found)
+    # each threshold once, in trial order, asked with a row still in the pass
+    assert [k for k, _ in asked] == sorted({k for k, _ in asked})
+    assert all(done[row] is None or asked_at <= done[row][2] + adaptive
+               for asked_at, row in asked)
+
+
+@given(
+    m=st.integers(1, 6),
+    basis=st.sampled_from(["Z", "ZZ"]),
+    adaptive=st.booleans(),
+    p_pass=st.floats(0.3, 1),
+    runs=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunk_pass_breaks_ties_as_the_pass_of_each_run(m, basis, adaptive, p_pass, runs, data):
+    # blocks tiled from a pattern of the values where a comparison flips:
+    # 1/2 and the thresholds themselves, and the doubles just below them
+    batch = rus._batch(m, basis)
+    q = rus._thresholds(1e-8, replace(CFG, p_pass=p_pass))
+    edges = [0.5, *(q(k, batch[4]) for k in range(1, 8))]
+    values = [0.0, *edges, *(math.nextafter(edge, 0) for edge in edges)]
+    pattern = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=48))
+    width = max(rus.RNG_BLOCK, rus.RNG_BLOCK_PER_PROCESS * m)
+    u = np.resize(np.array(pattern), (runs, width))
+
+    def outcome(run):  # a coin pattern of failures can reach the angle cap
+        try:
+            return run()
+        except ValueError as exc:  # AngleCapError
+            return type(exc), str(exc)
+
+    done = outcome(lambda: [found and found[:3]
+                            for found in chunk_pass_outcomes(batch, q, adaptive, u)[0]])
+    by_run = outcome(lambda: [found if isinstance(found, tuple) else None for found in (
+        reference_trial_pass(batch, q, adaptive, row.tolist()) for row in u)])
+    assert done == by_run
+
+
+@given(
+    **{**SIMULATION_CASES, "runs": st.integers(1, 9),
+       "log_p_pass": st.floats(math.log10(0.02), 0)},
+    mode=st.sampled_from(["naive", "adaptive"]),
+    per_chunk=st.integers(1, 3),
+    clock_cap=st.one_of(st.just(MAX_RUN_CLOCKS), st.integers(1, 400)),
+)
+# run 0 meets the clock cap in the clock loop before run 1's pass needs q(2)
+@example(m=1, basis="Z", log_p_pass=-0.3, attempts=1, seed=3, runs=3,
+         log_theta=-0.5, mode="naive", per_chunk=3, clock_cap=10)
+@settings(max_examples=200, deadline=None)
+def test_chunk_boundaries_match_reference(
+    m, basis, mode, log_p_pass, attempts, seed, runs, log_theta, per_chunk, clock_cap
+):
+    # chunks of 1-3 runs: every boundary falls between runs of one call, and
+    # the clock loops of declined runs, run before a new threshold, keep the
+    # reference's success_prob calls and first error
+    cfg = InjectionConfig(k=3, p_pass=10.0**log_p_pass, attempts_per_clock=attempts)
+    args = (m, basis, 10.0**log_theta, cfg, mode, runs, seed)
+    width = max(rus.RNG_BLOCK, rus.RNG_BLOCK_PER_PROCESS * m)
+    with mock.patch.object(rus, "CHUNK_DOUBLES", per_chunk * width + width - 1):
+        reference, change = outcomes(*args, clock_cap=clock_cap)
+    assert change == reference
+
+
+def test_runs_of_one_chunk_decline_at_different_trials():
+    # blocks of 5·M at M = 100 ZZ: a run reads about 5·M, so runs decline at
+    # the window after different trials, and all 12 share one chunk
+    args = (100, "ZZ", 1e-8, CFG, "adaptive", 12, 0)
+    batch = rus._batch(100, "ZZ")
+    q = rus._thresholds(1e-8, CFG)
+    with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 5):
+        assert rus.CHUNK_DOUBLES // 500 >= 12
+        u = first_blocks(100, 0, 12)
+        by_run = [reference_trial_pass(batch, q, True, row.tolist()) for row in u]
+        done, _ = chunk_pass_outcomes(batch, q, True, u)
+        reference, change = outcomes(*args)
+    declined_at = {found for found in by_run if not isinstance(found, tuple)}
+    assert len(declined_at) >= 2 and any(isinstance(found, tuple) for found in by_run)
+    assert [found and found[:3] for found in done] == [
+        found if isinstance(found, tuple) else None for found in by_run
+    ]
+    assert change == reference
 
 
 def test_shipped_pass_rate_never_regrows():
@@ -963,12 +1133,18 @@ def test_calibration_matches_reference(
 
 
 def test_calibration_reuses_runs():
-    # 1,922 runner calls when each step reused only the records of the
+    # 1,922 runs simulated when each step reused only the records of the
     # step before; reuse from every earlier step needs fewer
-    calls = mock.Mock(wraps=rus._simulate_run)
-    with mock.patch.object(rus, "_simulate_run", calls):
+    simulate_runs = rus._simulate_runs
+    simulated = []
+
+    def counted(batch, q, adaptive, seed, indices):
+        simulated.extend(indices)
+        return simulate_runs(batch, q, adaptive, seed, indices)
+
+    with mock.patch.object(rus, "_simulate_runs", counted):
         calibrate_p_pass(161.0, m=32, runs=200, seed=0)
-    assert 200 <= calls.call_count < 1922
+    assert 200 <= len(simulated) < 1922
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])

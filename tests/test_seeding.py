@@ -195,14 +195,13 @@ def test_simulation_builds_no_seed_sequence(mode):
     # trial pass declines, so the clock loop runs and refills on the run's
     # generator
     declined = []
-    trial_pass = rus._trial_pass
+    chunk_pass = rus._chunk_pass
 
-    def spy(batch, q, first, adaptive, buf):
-        found = trial_pass(batch, q, first, adaptive, buf)
-        declined.append(found is None)
-        return found
+    def spy(batch, u, adaptive, level, done):
+        chunk_pass(batch, u, adaptive, level, done)
+        declined.extend(found is None for found in done)
 
-    with seed_sequences_built() as built, mock.patch.object(rus, "_trial_pass", spy):
+    with seed_sequences_built() as built, mock.patch.object(rus, "_chunk_pass", spy):
         simulate_parallel_rus(32, "Z", 1e-8, CFG, mode, runs=50, seed=2**40)
         with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
             simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
