@@ -91,6 +91,16 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``.  A value that does not parse,
+    nested too deep included, is a ValueError naming ``what``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _injection_config(args):
     cfg = SHIPPED_CONFIGS[args.d]
     updates: dict = {}
@@ -177,12 +187,7 @@ def cmd_compare_serial(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = EstimatorConfig()
     if args.config:
-        with open(args.config) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config is not valid JSON: {exc}") from None
-        cfg = parse_config(obj)
+        cfg = parse_config(_read_json(args.config, "config"))
     report = build_report(args.n, cfg, calibrate_nmax=args.calibrate_nmax)
     _emit(args, _json_text(asdict(report)))
     return 0
@@ -190,8 +195,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_qcels_demo(args) -> int:
     if args.spectrum:
-        with open(args.spectrum) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.spectrum, "spectrum")
         if not isinstance(obj, dict):
             raise ValueError("spectrum must be a JSON object {phases, weights}")
         unknown = sorted(obj.keys() - {"phases", "weights"})

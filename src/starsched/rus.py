@@ -292,15 +292,13 @@ def _chunk_pass(batch, u, adaptive: bool, level, done) -> None:
             t += 1
 
 
-def _clock_loop(batch, q, first: float, adaptive: bool, rng, block, run_idx: int):
+def _clock_loop(batch, q, adaptive: bool, rng, block, run_idx: int):
     """One run by the per-clock rules: (completion clock, uniforms read,
     largest trial index, blocks drawn).
 
-    ``first`` is the first-trial chance q(1, size), the same for every
-    process and every run at one pass rate.  The run reads ``block``, its
-    first block, from the first uniform, and refills (drops the read
-    uniforms and draws as many from ``rng``, its generator) at a clock
-    starting with < 2·M unread.
+    The run reads ``block``, its first block, from the first uniform, and
+    refills (drops the read uniforms and draws as many from ``rng``, its
+    generator) at a clock starting with < 2·M unread.
     """
     regions0, free0, grow, meas_clocks, size0 = batch
     m = len(regions0)
@@ -321,7 +319,7 @@ def _clock_loop(batch, q, first: float, adaptive: bool, rng, block, run_idx: int
     k = [1] * m
     meas_left = [0] * m
     buffered = [False] * m
-    now = [first] * m
+    now = [q(1, size0)] * m
     free = FreeCells(free0)
     t = 0
     while True:
@@ -412,7 +410,7 @@ def _simulate_runs(batch, q, adaptive: bool, seed: int, indices):
         done = [None] * len(chunk)
 
         def clock_loop(r):
-            return _clock_loop(batch, q, levels[0], adaptive, rngs[r], u[r], chunk[r])
+            return _clock_loop(batch, q, adaptive, rngs[r], u[r], chunk[r])
 
         def level(k, lowest):
             if k > len(levels):

@@ -17,7 +17,6 @@ import check_goldens
 import starsched
 from starsched import cli
 from starsched.cli import run
-from starsched.injection import ANGLE_CAP, effective_angle
 
 
 def test_avg_trials_first_row(tmp_path, capsys):
@@ -91,9 +90,16 @@ def test_compile_trotter_timeline_written_atomically(tmp_path):
 
 
 # The entries of tests/pins.json that name no perfbench golden: timelines past
-# the goldens' n = 10 (test ids n-mode) and seeded runs no golden covers.
+# the goldens' n = 10 (test ids n-mode), and runs of the other commands that no
+# golden covers.
 PINS = {name: entry for name, entry in check_goldens.load_manifest().items() if "sha256" in entry}
-TIMELINE_PINS = sorted(name for name, entry in PINS.items() if entry["argv"][0] == "compile-trotter")
+
+
+def pins_of(*commands):
+    return sorted(name for name, entry in PINS.items() if entry["argv"][0] in commands)
+
+
+TIMELINE_PINS = pins_of("compile-trotter")
 
 
 @pytest.mark.parametrize(
@@ -103,8 +109,13 @@ def test_timeline_bytes_are_pinned(tmp_path, name):
     assert check_goldens.check(name, PINS[name], run, tmp_path) == []
 
 
-@pytest.mark.parametrize("name", sorted(set(PINS) - set(TIMELINE_PINS)))
+@pytest.mark.parametrize("name", pins_of("simulate-rus"))
 def test_simulate_rus_bytes_are_pinned(tmp_path, name):
+    assert check_goldens.check(name, PINS[name], run, tmp_path) == []
+
+
+@pytest.mark.parametrize("name", pins_of("avg-trials", "compare-serial", "qcels-demo"))
+def test_table_and_demo_bytes_are_pinned(tmp_path, name):
     assert check_goldens.check(name, PINS[name], run, tmp_path) == []
 
 
@@ -212,8 +223,8 @@ def test_estimate_through_the_level_loop(tmp_path):
 
 
 def test_estimate_exit_codes(tmp_path):
+    # with no error norm and no calibration target it exits 2: row estimate-no-norm
     out = tmp_path / "report.json"
-    assert run(["estimate", "--n", "4"]) == 2  # no error norm, no calibration
     assert (
         run(["estimate", "--n", "4", "--calibrate-nmax", "3397", "--out", str(out)])
         == 0
@@ -224,33 +235,12 @@ def test_estimate_exit_codes(tmp_path):
     assert run(["estimate", "--n", "4", "--calibrate-nmax", "5", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("target", [10**16, 10**22])
-def test_estimate_target_floats_cannot_meet_is_one_line_error(capsys, target):
-    assert run(["estimate", "--n", "4", "--calibrate-nmax", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --calibrate-nmax {target} ") and err.count("\n") == 1
-
-
 def test_estimate_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trotter": {"w_norm": 1.0e7}}))
     out = tmp_path / "report.json"
     assert run(["estimate", "--n", "4", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["w_norm"] == 1.0e7
-
-
-def test_malformed_config_names_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"qcels": {"shots": 5}}))
-    assert run(["estimate", "--n", "4", "--config", str(cfg)]) == 1
-    assert "qcels.shots" in capsys.readouterr().err
-
-
-def test_invalid_json_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert run(["estimate", "--n", "4", "--config", str(cfg)]) == 1
-    assert "JSON" in capsys.readouterr().err
 
 
 def test_qcels_demo_output(tmp_path):
@@ -276,28 +266,6 @@ def test_custom_spectrum_file(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["success_rate"] == 1.0
-
-
-def test_bad_spectrum_is_validation_error(tmp_path, capsys):
-    spec = tmp_path / "spectrum.json"
-    spec.write_text(json.dumps({"phases": [0.3], "weights": [0.5]}))
-    assert run(["qcels-demo", "--spectrum", str(spec)]) == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate-rus", "--m", "8", "--runs", "40", "--seed", "11"],
-        ["qcels-demo", "--trials", "5", "--seed", "11"],
-        ["compile-trotter", "--n", "3"],
-        ["avg-trials", "--m-max", "12"],
-    ],
-)
-def test_repeat_runs_byte_identical(tmp_path, argv):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(argv + ["--out", str(a)]) == 0
-    assert run(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 ESTIMATE = ["estimate", "--n", "4", "--calibrate-nmax", "3397"]
@@ -335,92 +303,17 @@ def test_parser_built_once_leaks_nothing_between_runs(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate-rus", "--runs", "0"],
-        ["qcels-demo", "--trials", "0"],
-        ["estimate", "--n", "4", "--calibrate-nmax", "-5"],
-        ["simulate-rus", "--p-pass", "0"],
-        ["simulate-rus", "--p-pass", "1.5"],
-        ["simulate-rus", "--p-pass", "nan"],
-        ["simulate-rus", "--attempts", "0"],
-        ["qcels-demo", "--eps", "0"],
-        ["qcels-demo", "--eps", "2"],
-        ["qcels-demo", "--delta", "0"],
-        *(
-            ESTIMATE + ["--config", config]
-            for config in (
-                {"qcels": {"eps_targ": 100}},
-                {"code": {"p_phys": "x"}},
-                {"code": {"p_phys": -1}},
-                {"model": {"t": 10**400}},
-                {"model": {"u": None}},
-                {"code": {"d_override": 8}},
-                {"code": {"d_override": 1}},
-                {"code": {"d_override": 10**400 + 1}},
-                {"code": {"d_override": 53}},
-                {"code": {"d_override": 10**20 + 1}},
-                {"qcels": {"n_pairs": 1.5}},
-                {"qcels": {"n_samples": True}},
-            )
-        ),
-        ["simulate-rus", "--theta", "nan"],
-        *(
-            ["qcels-demo", "--spectrum", spectrum]
-            for spectrum in (
-                {"phases": 3, "weights": [1.0]},
-                [1, 2],
-                {"phases": ["a"], "weights": [1.0]},
-                {"noise": 0.1, "phases": [0.3], "weights": [1.0]},
-            )
-        ),
-        ["avg-trials", "--m-max", "0"],
-        ["qcels-demo", "--pairs", "0", "--trials", "1"],
-        ["qcels-demo", "--pairs", "-1", "--trials", "1"],
-        ["estimate", "--n", "4", "--calibrate-nmax", "1"],
-        ["estimate", "--n", "4", "--calibrate-nmax", "4"],
-        # integers past the float range
-        ESTIMATE + ["--config", {"injection": {"k": 10**400}}],
-        ESTIMATE + ["--config", {"qcels": {"n_samples": 10**400}}],
-        [
-            "estimate", "--n", "4", "--config",
-            {"qcels": {"n_pairs": 10**400}, "trotter": {"w_norm": 1.0}},
-        ],
-        ["simulate-rus", "--m", "3", "--runs", "2", "--seed", "-1"],
-        ["qcels-demo", "--trials", "1", "--seed", "-1"],
-        ["simulate-rus", "--theta", "inf"],
-        ["simulate-rus", "--theta=-inf"],
-        # past the largest angle trial 1 can prepare, effective_angle(ANGLE_CAP, k)
-        ["simulate-rus", "--theta", "3.2"],
-        ["simulate-rus", "--theta", "1e308"],
-        ["simulate-rus", "--theta=-0.8"],
-        ["simulate-rus", "--theta", "0.7853981633974483"],
+        ["simulate-rus", "--m", "8", "--runs", "40", "--seed", "11"],
+        ["qcels-demo", "--trials", "5", "--seed", "11"],
+        ["compile-trotter", "--n", "3"],
+        ["avg-trials", "--m-max", "12"],
     ],
 )
-def test_out_of_range_input_is_one_line_error(tmp_path, capsys, argv):
-    # a JSON value in the last place is written to a file passed in its stead
-    content = argv[-1] if not isinstance(argv[-1], str) else None
-    if content is not None:
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
-        argv = argv[:-1] + [str(path)]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    if argv[-2] == "--config":  # the offending key comes first, named in the message
-        section, keys = next(iter(content.items()))
-        assert f"{section}.{next(iter(keys))}" in err
-    elif isinstance(content, dict):  # the offending spectrum key comes first
-        assert next(iter(content)) in err
-    elif argv[0] == "avg-trials":
-        assert "--m-max" in err
-    elif argv[-2] == "--calibrate-nmax":
-        assert "--calibrate-nmax" in err and "qcels.n_pairs" in err
-    elif "--pairs" in argv:
-        assert "data points per level" in err
-    elif "--seed" in argv:
-        assert "--seed" in err
-    elif argv[1].startswith("--theta"):  # the option and its bound
-        assert "--theta" in err and repr(effective_angle(ANGLE_CAP, 3)) in err
+def test_repeat_runs_byte_identical(tmp_path, argv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -439,73 +332,189 @@ def test_missing_output_directory_names_the_path(tmp_path, capsys, argv, option)
     assert list(tmp_path.iterdir()) == []
 
 
+# Every error path's exit code and its one stderr line, with nothing on stdout
+# and no warning.  A last argument that is not a str is an input file's
+# content, written to a file passed in its stead: a dict or list as JSON,
+# bytes as they are.
+# nested deeper than the JSON decoder recurses: 1,000 to 10,000 levels, by Python version
+DEEP = b"[" * 100_000 + b"]" * 100_000
+ERRORS = [
+    ("avg-trials-m-max-0", ["avg-trials", "--m-max", "0"],
+     1, "error: --m-max must be at least 1, got 0"),
+    ("compare-n-1", ["compare-serial", "--n", "1"],
+     1, "error: lattice size must be at least 2, got 1"),
+    ("rus-runs-0", ["simulate-rus", "--runs", "0"], 1, "error: runs must be at least 1, got 0"),
+    ("rus-p-pass-0", ["simulate-rus", "--p-pass", "0"],
+     1, "error: pass rate must be a number in (0, 1], got 0.0"),
+    ("rus-p-pass-1.5", ["simulate-rus", "--p-pass", "1.5"],
+     1, "error: pass rate must be a number in (0, 1], got 1.5"),
+    ("rus-p-pass-nan", ["simulate-rus", "--p-pass", "nan"],
+     1, "error: pass rate must be a number in (0, 1], got nan"),
+    ("rus-attempts-0", ["simulate-rus", "--attempts", "0"],
+     1, "error: attempts_per_clock must be at least 1"),
+    ("rus-seed-neg", ["simulate-rus", "--m", "3", "--runs", "2", "--seed", "-1"],
+     1, "error: --seed must be at least 0, got -1"),
+    # past the largest angle trial 1 can prepare, effective_angle(ANGLE_CAP, 3)
+    ("rus-theta-nan", ["simulate-rus", "--theta", "nan"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got nan"),
+    ("rus-theta-inf", ["simulate-rus", "--theta", "inf"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got inf"),
+    ("rus-theta-neg-inf", ["simulate-rus", "--theta=-inf"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got -inf"),
+    ("rus-theta-3.2", ["simulate-rus", "--theta", "3.2"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got 3.2"),
+    ("rus-theta-1e308", ["simulate-rus", "--theta", "1e308"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got 1e+308"),
+    ("rus-theta-neg-0.8", ["simulate-rus", "--theta=-0.8"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got -0.8"),
+    ("rus-theta-pi-4", ["simulate-rus", "--theta", "0.7853981633974483"],
+     1, "error: --theta must be an angle of magnitude at most 0.7853981633974481, got 0.7853981633974483"),
+    ("rus-runaway", ["simulate-rus", "--m", "4", "--runs", "1", "--p-pass", "1e-12"],
+     2, "infeasible: run 0 exceeded 1000000 clocks"),
+    ("estimate-nmax-neg", ["estimate", "--n", "4", "--calibrate-nmax", "-5"],
+     1, "error: --calibrate-nmax must be at least qcels.n_pairs = 5, got -5"),
+    ("estimate-nmax-1", ["estimate", "--n", "4", "--calibrate-nmax", "1"],
+     1, "error: --calibrate-nmax must be at least qcels.n_pairs = 5, got 1"),
+    ("estimate-nmax-4", ["estimate", "--n", "4", "--calibrate-nmax", "4"],
+     1, "error: --calibrate-nmax must be at least qcels.n_pairs = 5, got 4"),
+    ("estimate-n-1", ["estimate", "--n", "1", "--calibrate-nmax", "3397"],
+     1, "error: lattice size must be at least 2, got 1"),
+    # the smallest target is qcels.n_pairs steps; past 2^53 the step count is inexact
+    ("estimate-nmax-1e16", ["estimate", "--n", "4", "--calibrate-nmax", "10000000000000000"],
+     1, "error: --calibrate-nmax 10000000000000000 is past what float arithmetic resolves: the largest circuit comes out at 9999999999999965 steps"),
+    ("estimate-nmax-1e22", ["estimate", "--n", "4", "--calibrate-nmax", "10000000000000000000000"],
+     1, "error: --calibrate-nmax 10000000000000000000000 is past what float arithmetic resolves: the largest circuit comes out at 9999999999999964610560 steps"),
+    ("estimate-n-300", ["estimate", "--n", "300", "--calibrate-nmax", "3397"],
+     2, "infeasible: PEC mitigation overhead e^(4·193.9) is too large for a float"),
+    ("estimate-no-norm", ["estimate", "--n", "4"],
+     2, "infeasible: no Trotter error norm given and no step-count calibration target"),
+    ("config-eps-targ", ESTIMATE + ["--config", {"qcels": {"eps_targ": 100}}],
+     1, "error: config key qcels.eps_targ must be a number in (0, 1], got 100"),
+    ("config-p-phys-str", ESTIMATE + ["--config", {"code": {"p_phys": "x"}}],
+     1, "error: config key code.p_phys must be a number in (0, 1), got 'x'"),
+    ("config-p-phys-neg", ESTIMATE + ["--config", {"code": {"p_phys": -1}}],
+     1, "error: config key code.p_phys must be a number in (0, 1), got -1"),
+    ("config-t-huge", ESTIMATE + ["--config", {"model": {"t": 10**400}}],
+     1, f"error: config key model.t must be a number > 0, got {10**400}"),
+    ("config-u-null", ESTIMATE + ["--config", {"model": {"u": None}}],
+     1, "error: config key model.u must be a number >= 0, got None"),
+    ("config-d-even", ESTIMATE + ["--config", {"code": {"d_override": 8}}],
+     1, "error: config key code.d_override must be an odd integer in [3, 51] or null, got 8"),
+    ("config-d-1", ESTIMATE + ["--config", {"code": {"d_override": 1}}],
+     1, "error: config key code.d_override must be an odd integer in [3, 51] or null, got 1"),
+    ("config-d-huge", ESTIMATE + ["--config", {"code": {"d_override": 10**400 + 1}}],
+     1, f"error: config key code.d_override must be an odd integer in [3, 51] or null, got {10**400 + 1}"),
+    ("config-d-53", ESTIMATE + ["--config", {"code": {"d_override": 53}}],
+     1, "error: config key code.d_override must be an odd integer in [3, 51] or null, got 53"),
+    ("config-d-1e20", ESTIMATE + ["--config", {"code": {"d_override": 10**20 + 1}}],
+     1, "error: config key code.d_override must be an odd integer in [3, 51] or null, got 100000000000000000001"),
+    ("config-pairs-float", ESTIMATE + ["--config", {"qcels": {"n_pairs": 1.5}}],
+     1, "error: config key qcels.n_pairs must be an integer >= 2 a float can hold, got 1.5"),
+    ("config-samples-bool", ESTIMATE + ["--config", {"qcels": {"n_samples": True}}],
+     1, "error: config key qcels.n_samples must be an integer >= 1 a float can hold, got True"),
+    # integers past the float range
+    ("config-k-huge", ESTIMATE + ["--config", {"injection": {"k": 10**400}}],
+     1, f"error: config key injection.k must be an integer >= 1 a float can hold, or null, got {10**400}"),
+    ("config-samples-huge", ESTIMATE + ["--config", {"qcels": {"n_samples": 10**400}}],
+     1, f"error: config key qcels.n_samples must be an integer >= 1 a float can hold, got {10**400}"),
+    ("config-pairs-huge", ["estimate", "--n", "4", "--config", {"qcels": {"n_pairs": 10**400}, "trotter": {"w_norm": 1.0}}],
+     1, f"error: config key qcels.n_pairs must be an integer >= 2 a float can hold, got {10**400}"),
+    ("config-list", ["estimate", "--config", [1]], 1, "error: config must be a JSON object"),
+    ("config-section-int", ["estimate", "--config", {"model": 3}],
+     1, "error: config section 'model' must be an object"),
+    ("config-no-distance", ["estimate", "--n", "10", "--calibrate-nmax", "8538", "--config", {"code": {"p_phys": 0.0099}}],
+     2, "infeasible: no code distance up to 51 meets the error budget"),
+    ("config-unknown-key", ["estimate", "--n", "4", "--config", {"qcels": {"shots": 5}}],
+     1, "error: unknown config key: qcels.shots"),
+    ("config-not-json", ["estimate", "--n", "4", "--config", b"{not json"],
+     1, "error: config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    # the error norm that the calibration backs out, out of the float range
+    ("config-norm-0-delta", ESTIMATE + ["--config", {"qcels": {"delta": 1e300}}],
+     2, "infeasible: calibrated Trotter error norm is 0.0: --calibrate-nmax 3397, qcels.delta 1e+300 and one-norm 64.0 (from model.t 1.0, model.u 4.0) put it out of range"),
+    ("config-norm-0-u", ESTIMATE + ["--config", {"model": {"u": 1e300}}],
+     2, "infeasible: calibrated Trotter error norm is 0.0: --calibrate-nmax 3397, qcels.delta 0.06 and one-norm 4e+300 (from model.t 1.0, model.u 1e+300) put it out of range"),
+    ("config-norm-inf", ESTIMATE + ["--config", {"qcels": {"delta": 1e-300}}],
+     2, "infeasible: calibrated Trotter error norm is inf: --calibrate-nmax 3397, qcels.delta 1e-300 and one-norm 64.0 (from model.t 1.0, model.u 4.0) put it out of range"),
+    ("config-deep", ["estimate", "--n", "4", "--config", DEEP],
+     1, "error: config is not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ("qcels-trials-0", ["qcels-demo", "--trials", "0"],
+     1, "error: --trials must be at least 1, got 0"),
+    ("qcels-eps-0", ["qcels-demo", "--eps", "0"],
+     1, "error: QCELS precision must be in (0, 1], got 0.0"),
+    ("qcels-eps-2", ["qcels-demo", "--eps", "2"],
+     1, "error: QCELS precision must be in (0, 1], got 2.0"),
+    ("qcels-delta-0", ["qcels-demo", "--delta", "0"],
+     1, "error: QCELS delta must be a finite positive number, got 0.0"),
+    ("qcels-pairs-0", ["qcels-demo", "--pairs", "0", "--trials", "1"],
+     1, "error: QCELS data points per level must be at least 2, got 0"),
+    ("qcels-pairs-neg", ["qcels-demo", "--pairs", "-1", "--trials", "1"],
+     1, "error: QCELS data points per level must be at least 2, got -1"),
+    ("qcels-seed-neg", ["qcels-demo", "--trials", "1", "--seed", "-1"],
+     1, "error: --seed must be at least 0, got -1"),
+    ("qcels-samples-neg", ["qcels-demo", "--samples", "-1", "--trials", "1"],
+     1, "error: QCELS sample count must be at least 0, got -1"),
+    ("qcels-delta-inf", ["qcels-demo", "--delta", "inf", "--trials", "2"],
+     1, "error: QCELS delta must be a finite positive number, got inf"),
+    ("qcels-delta-1e308", ["qcels-demo", "--delta", "1e308", "--trials", "2"],
+     1, "error: QCELS level spacing tau_0 must be finite, got inf for delta 1e+308, pairs 5, eps 0.01"),
+    ("qcels-delta-1e20", ["qcels-demo", "--delta", "1e20", "--trials", "2"],
+     1, "error: search interval collapsed below numeric resolution at level 1 (eps 0.01, delta 1e+20)"),
+    # one level (eps 1): no spacing is infinite and no interval collapses,
+    # but the fit squares sample times near delta
+    ("qcels-time-1e300", ["qcels-demo", "--eps", "1", "--delta", "1e300", "--trials", "3"],
+     1, "error: QCELS delta 1e+300 is too large: sample time 8e+299 squared overflows the fit (pairs 5, eps 1.0)"),
+    ("qcels-time-2e153", ["qcels-demo", "--eps", "1", "--delta", "2e153", "--trials", "3"],
+     1, "error: QCELS delta 2e+153 is too large: sample time 1.6e+153 squared overflows the fit (pairs 5, eps 1.0)"),
+    ("spectrum-phases-int", ["qcels-demo", "--spectrum", {"phases": 3, "weights": [1.0]}],
+     1, "error: spectrum key phases must be a list of numbers"),
+    ("spectrum-list", ["qcels-demo", "--spectrum", [1, 2]],
+     1, "error: spectrum must be a JSON object {phases, weights}"),
+    ("spectrum-phases-str", ["qcels-demo", "--spectrum", {"phases": ["a"], "weights": [1.0]}],
+     1, "error: spectrum key phases must be a list of numbers"),
+    ("spectrum-unknown-key", ["qcels-demo", "--spectrum", {"noise": 0.1, "phases": [0.3], "weights": [1.0]}],
+     1, "error: unknown spectrum key: noise"),
+    ("spectrum-misaligned", ["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.0]}],
+     1, "error: phases and weights must align"),
+    ("spectrum-weight-neg", ["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.5, -0.5]}],
+     1, "error: weights must be nonnegative"),
+    ("spectrum-weights-sum", ["qcels-demo", "--spectrum", {"phases": [0.3], "weights": [0.5]}],
+     1, "error: weights must sum to 1"),
+    ("spectrum-deep", ["qcels-demo", "--spectrum", DEEP],
+     1, "error: spectrum is not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ("spectrum-truncated", ["qcels-demo", "--spectrum", b'{"phases": [0.3], "weights": [1.0'],
+     1, "error: spectrum is not valid JSON: Expecting ',' delimiter: line 1 column 34 (char 33)"),
+]
 
-# error paths no other test reaches: argv, exit code and the one stderr line; a
-# JSON value in the last place is written to a file passed in its stead
+
 @pytest.mark.parametrize(
-    "argv, code, message",
-    [
-        (["estimate", "--config", [1]], 1, "error: config must be a JSON object"),
-        (["estimate", "--config", {"model": 3}], 1, "error: config section 'model' must be an object"),
-        (["estimate", "--n", "10", "--calibrate-nmax", "8538", "--config", {"code": {"p_phys": 0.0099}}],
-         2, "infeasible: no code distance up to 51 meets the error budget"),
-        (["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.0]}],
-         1, "error: phases and weights must align"),
-        (["qcels-demo", "--spectrum", {"phases": [0.3, 0.9], "weights": [1.5, -0.5]}],
-         1, "error: weights must be nonnegative"),
-        (["estimate", "--n", "1", "--calibrate-nmax", "3397"],
-         1, "error: lattice size must be at least 2, got 1"),
-        (["compare-serial", "--n", "1"], 1, "error: lattice size must be at least 2, got 1"),
-    ],
+    "argv, code, line", [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS]
 )
-def test_error_path_exit_code_and_message(tmp_path, capsys, argv, code, message):
+def test_error_exit_code_and_line(tmp_path, capsys, recwarn, argv, code, line):
     if not isinstance(argv[-1], str):
+        content = argv[-1]
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(argv[-1]))
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
         argv = argv[:-1] + [str(path)]
     assert run(argv) == code
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not recwarn.list
 
 
-def test_runaway_rus_run_is_infeasible(capsys):
-    assert run(["simulate-rus", "--m", "4", "--runs", "1", "--p-pass", "1e-12"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("config", [{"qcels": {"delta": 1e300}}, {"model": {"u": 1e300}}])
-def test_underflowing_calibrated_norm_is_named(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert run(ESTIMATE + ["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: calibrated Trotter error norm is 0.0")
-    assert err.count("\n") == 1
-    for name in ("--calibrate-nmax", "qcels.delta", "one-norm", "model.t", "model.u"):
-        assert name in err
-
-
-def test_overflowing_calibrated_norm_is_named(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"qcels": {"delta": 1e-300}}))
-    assert run(ESTIMATE + ["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: calibrated Trotter error norm is inf")
-    assert err.count("\n") == 1
-    for name in ("--calibrate-nmax", "qcels.delta", "one-norm"):
-        assert name in err
+BUDGET_MISSES = {
+    3: "infeasible: code.d_override 3 expects 1922 logical errors per circuit, not below code.eps_logerr 0.01",
+    7: "infeasible: code.d_override 7 expects 0.4484 logical errors per circuit, not below code.eps_logerr 0.01",
+}
 
 
 @pytest.mark.parametrize("d, code", [(3, 2), (7, 2), (9, 0), (11, 0), (51, 0)])
-def test_d_override_must_meet_logical_error_budget(tmp_path, capsys, d, code):
+def test_d_override_must_meet_logical_error_budget(tmp_path, capsys, recwarn, d, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"code": {"d_override": d}}))
     assert run(ESTIMATE + ["--config", str(path)]) == code
     out, err = capsys.readouterr()
     if code:
-        assert err.startswith(f"infeasible: code.d_override {d} expects ")
-        assert err.count("\n") == 1
-        assert "logical errors" in err and "code.eps_logerr 0.01" in err
+        assert (out, err) == ("", BUDGET_MISSES[d] + "\n")
+        assert not recwarn.list
     else:
         assert json.loads(out)["d"] == d
 
@@ -517,20 +526,6 @@ def test_calibrated_nmax_meets_every_target(capsys):
         assert run(["estimate", "--n", "4", "--calibrate-nmax", str(target)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_max"] == 5 * math.ceil(target / 5), target
-
-
-def test_negative_sample_count_is_named(capsys):
-    assert run(["qcels-demo", "--samples", "-1", "--trials", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "sample count" in err
-
-
-def test_overflowing_mitigation_overhead_is_infeasible(capsys):
-    assert run(["estimate", "--n", "300", "--calibrate-nmax", "3397"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: ") and err.count("\n") == 1
-    assert "mitigation overhead" in err
 
 
 @pytest.mark.parametrize(
@@ -546,34 +541,6 @@ def test_deleted_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize(
-    "delta, named",
-    [
-        ("inf", "delta must be a finite positive number, got inf"),
-        ("1e308", "tau_0 must be finite, got inf for delta 1e+308"),
-        ("1e20", "collapsed below numeric resolution at level 1 (eps 0.01, delta 1e+20)"),
-    ],
-)
-def test_huge_qcels_delta_is_one_line_error(capsys, recwarn, delta, named):
-    assert run(["qcels-demo", "--delta", delta, "--trials", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert named in err
-    assert not recwarn.list
-
-
-@pytest.mark.parametrize("delta", ["1e300", "2e153"])
-def test_overflowing_qcels_sample_time_is_one_line_error(capsys, recwarn, delta):
-    # One level (eps 1): no spacing is infinite and no interval collapses,
-    # but the fit squares sample times near delta.
-    assert run(["qcels-demo", "--eps", "1", "--delta", delta, "--trials", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: QCELS delta {float(delta)} is too large")
-    assert captured.err.count("\n") == 1
-    assert not recwarn.list
 
 
 def test_largest_accepted_qcels_delta_is_finite(capsys, recwarn):

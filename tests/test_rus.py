@@ -39,6 +39,7 @@ cap, except that the change rejects a target no pass rate in [1e-4, 1]
 reaches where the reference returned a bracket end.
 """
 
+import contextlib
 import json
 import math
 import random
@@ -609,9 +610,9 @@ def test_shipped_pass_rate_completion_follows_trial_count(m, basis):
 @pytest.mark.parametrize("basis", ["Z", "ZZ"])
 def test_trial_pass_completion_follows_trial_count(m, basis):
     # the same law through the trial pass, which ends every run
-    spy, log = trial_pass_spy()
-    assert trial_count_mismatches(m, basis, spy) == []
-    assert len(log) == 400 and set(log) == {"done"}
+    with declined_runs() as declined:
+        assert trial_count_mismatches(m, basis, rus._chunk_pass) == []
+    assert declined == []
 
 
 def decline(*args):
@@ -647,44 +648,32 @@ def test_clock_loop_regrows_at_every_clock_with_completions(
     assert change == reference
 
 
-def trial_pass_spy():
-    """A wrapper of ``_chunk_pass`` that logs, per run of each chunk in
-    order, "done" or "declined"; if the pass raises, "done" per run it
-    completed, then the error."""
-    log = []
-    chunk_pass = rus._chunk_pass
+@contextlib.contextmanager
+def declined_runs():
+    """The index of each run that enters the clock loop, in order, logged
+    while the context is open: a run the trial pass declines enters it
+    once, and a run the pass completes never does."""
+    declined = []
+    clock_loop = rus._clock_loop
 
-    def spy(batch, u, adaptive, level, done):
-        looped = set()
+    def logged(*args):
+        declined.append(args[-1])
+        return clock_loop(*args)
 
-        def watched(k, lowest):  # notes the rows its clock loops fill
-            before = [found is None for found in done]
-            try:
-                return level(k, lowest)
-            finally:
-                looped.update(r for r, was in enumerate(before) if was and done[r])
-
-        try:
-            chunk_pass(batch, u, adaptive, watched, done)
-        except ValueError as exc:
-            log.extend("done" for r, found in enumerate(done) if found and r not in looped)
-            log.append(type(exc).__name__)
-            raise
-        log.extend("done" if found and r not in looped else "declined"
-                   for r, found in enumerate(done))
-
-    return spy, log
+    with mock.patch.object(rus, "_clock_loop", logged):
+        yield declined
 
 
-def pass_and_clock_loop(chunk_pass, batch, q, adaptive, seed, runs):
-    """``run_outcomes`` of runs 0..runs - 1 through ``chunk_pass`` and then
-    through the clock loop alone.  Only the uniforms read are compared: the
-    clock loop may draw a refill that the pass never needs."""
-    found = []
-    for pass_first in (chunk_pass, decline):
-        with mock.patch.object(rus, "_chunk_pass", pass_first):
-            found.append(run_outcomes(batch, q, adaptive, seed, range(runs)))
-    return found
+def pass_and_clock_loop(batch, q, adaptive, seed, runs):
+    """``run_outcomes`` of runs 0..runs - 1 through the trial pass, then
+    through the clock loop alone, and the runs the pass declined.  Only the
+    uniforms read are compared: the clock loop may draw a refill that the
+    pass never needs."""
+    with declined_runs() as declined:
+        by_pass = run_outcomes(batch, q, adaptive, seed, range(runs))
+    with mock.patch.object(rus, "_chunk_pass", decline):
+        by_clock_loop = run_outcomes(batch, q, adaptive, seed, range(runs))
+    return by_pass, by_clock_loop, declined
 
 
 @pytest.mark.parametrize("m", [1, 7, 32, 100])
@@ -693,11 +682,10 @@ def pass_and_clock_loop(chunk_pass, batch, q, adaptive, seed, runs):
 def test_trial_pass_matches_clock_loop_at_shipped_rate(m, basis, adaptive):
     batch = rus._batch(m, basis)
     q = rus._thresholds(1e-8, CFG)
-    spy, log = trial_pass_spy()
-    by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, adaptive, 0, 200)
+    by_pass, by_clock_loop, declined = pass_and_clock_loop(batch, q, adaptive, 0, 200)
     for i, (found, want) in enumerate(zip(by_pass, by_clock_loop)):
         assert found == want, i
-    assert len(log) == 200 and set(log) == {"done"}
+    assert declined == []
 
 
 @pytest.mark.parametrize("m", [100, 150])
@@ -709,16 +697,17 @@ def test_trial_pass_declined_at_the_window_matches_clock_loop(m, mode, factor):
     # so about half the passes complete trial 1 and then decline.
     batch = rus._batch(m, "ZZ")
     q = rus._thresholds(1e-8, CFG)
-    spy, log = trial_pass_spy()
     with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", factor):
         assert max(rus.RNG_BLOCK, factor * m) >= 3 * m
-        by_pass, by_clock_loop = pass_and_clock_loop(spy, batch, q, mode == "adaptive", 1, 40)
-    assert len(log) == 40
+        by_pass, by_clock_loop, declined = pass_and_clock_loop(
+            batch, q, mode == "adaptive", 1, 40
+        )
     for i, (found, want) in enumerate(zip(by_pass, by_clock_loop)):
         assert found == want, i
-        if log[i] == "declined":
+        if i in declined:
             assert want[2] > 1, i  # trial 1 left processes ongoing
-    assert {"done", "declined"} <= set(log)
+    # some runs declined, each once, and some completed
+    assert declined == sorted(set(declined)) and 0 < len(declined) < 40
 
 
 def run_outcomes(batch, q, adaptive, seed, indices):
@@ -797,26 +786,23 @@ def test_each_run_builds_one_generator(mode):
 def test_angle_cap_error_leaves_the_trial_pass_once():
     # the pass evaluates q(28) where the clock loop would, and its error is
     # the run's: the clock loop does not run the run again
-    spy, log = trial_pass_spy()
-    clock_loop = mock.Mock(wraps=rus._clock_loop)
-    with mock.patch.object(rus, "_chunk_pass", spy), \
-            mock.patch.object(rus, "_clock_loop", clock_loop):
+    with declined_runs() as declined:
         reference, change = outcomes(36, "ZZ", 1e-8, CFG, "adaptive", 100, 909)
     assert change == reference
-    assert log[-1] == "AngleCapError" and set(log[:-1]) == {"done"}
-    assert clock_loop.call_count == 0
+    (kind, _), _ = change
+    assert kind.__name__ == "AngleCapError" and declined == []
 
 
 def test_rus_adaptive_shapes_never_enter_the_clock_loop():
     # the 12 batch shapes of the rus-adaptive goldens, 100 runs at seed 0
     shapes = golden_adaptive_trials()
     assert len(shapes) == 12
-    spy, log = trial_pass_spy()
-    with mock.patch.object(rus, "_chunk_pass", spy):
-        for (m, basis), counts in shapes.items():
-            runs = sum(counts.values())
-            simulate_parallel_rus(m, basis, 1e-8, CFG, "adaptive", runs, 0)
-    assert len(log) == 1200 and set(log) == {"done"}
+    runs = {shape: sum(counts.values()) for shape, counts in shapes.items()}
+    assert sum(runs.values()) == 1200
+    with declined_runs() as declined:
+        for (m, basis), count in runs.items():
+            simulate_parallel_rus(m, basis, 1e-8, CFG, "adaptive", count, 0)
+    assert declined == []
 
 
 def reference_trial_pass(batch, q, adaptive, buf):

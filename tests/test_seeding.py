@@ -194,19 +194,13 @@ def test_simulation_builds_no_seed_sequence(mode):
     # at M = 150 ZZ, p_pass 0.7 and blocks of 2 uniforms per process every
     # trial pass declines, so the clock loop runs and refills on the run's
     # generator
-    declined = []
-    chunk_pass = rus._chunk_pass
-
-    def spy(batch, u, adaptive, level, done):
-        chunk_pass(batch, u, adaptive, level, done)
-        declined.extend(found is None for found in done)
-
-    with seed_sequences_built() as built, mock.patch.object(rus, "_chunk_pass", spy):
+    clock_loop = mock.Mock(wraps=rus._clock_loop)  # entered once per declined run
+    with seed_sequences_built() as built, mock.patch.object(rus, "_clock_loop", clock_loop):
         simulate_parallel_rus(32, "Z", 1e-8, CFG, mode, runs=50, seed=2**40)
         with mock.patch.object(rus, "RNG_BLOCK_PER_PROCESS", 2):
             simulate_parallel_rus(150, "ZZ", 1e-8, replace(CFG, p_pass=0.7), mode, 40, 1)
         assert built() == 0
-    assert any(declined)
+    assert clock_loop.called
 
 
 def test_calibration_builds_no_seed_sequence():
