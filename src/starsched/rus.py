@@ -34,8 +34,9 @@ its lowest remaining run go through the clock loop, in index order.
 
 Run i draws the stream of ``np.random.default_rng((seed, i))``.  The runs'
 generator states are computed by ``seeding`` in one batched pass per
-``seeding.CHUNK`` runs, so no ``SeedSequence`` is built per run.  Its
-uniforms come in blocks sized so that one covers a shipped-rate run.
+``seeding.CHUNK`` runs, so no ``SeedSequence`` is built per run of a seed
+below 2^63.  Its uniforms come in blocks sized so that one covers a
+shipped-rate run.
 
 numpy is imported only inside the functions that draw, so the analytics
 (and every command that needs only them) start without it.

@@ -14,9 +14,7 @@ hopping side of each move layer.  ``compile_step`` walks the list to build a
 patch timeline, emitting a batch's ops once per ordering it meets the batch
 under; ``trotter_clocks`` sums it without routing.  Every participant is the
 grid's own cell tuple, so each patch is one object shared by all ops and by
-``validate``'s bit map: over the 18 steps of ``compile-trotter-sweep``
-(n = 2..10, both modes) the 15,666 timeline entries are 5,699 op objects
-holding 22,367 participants, but only 3,081 coordinate tuples.
+``validate``'s bit map.
 """
 
 from __future__ import annotations

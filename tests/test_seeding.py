@@ -36,7 +36,8 @@ ENTROPIES = st.one_of(
 @given(st.lists(ENTROPIES, min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_states_and_streams_match_numpy(batch):
-    # one batch mixes word counts, so several groups are hashed together
+    # a batch with an entropy of more than four words, or an int past
+    # 2^63 - 1, goes to numpy one entropy at a time
     for entropy, state in zip(batch, generate_states(batch), strict=True):
         expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
         assert state.dtype == np.uint64 and state.tolist() == expected.tolist()
@@ -45,7 +46,8 @@ def test_states_and_streams_match_numpy(batch):
         assert ours.normal(size=5).tolist() == numpys.normal(size=5).tolist()
 
 
-# the words of the array path: 0 and 2^32 - 1 often, as Python or numpy ints
+# the ints of the array path, as Python or numpy ints: one word each, 0 and
+# 2^32 - 1 often, or two words each, 2^32 and 2^63 - 1 often
 WORDS = st.one_of(
     st.sampled_from([0, 2**32 - 1]),
     st.integers(0, 2**32 - 1),
@@ -53,18 +55,34 @@ WORDS = st.one_of(
     st.integers(0, 2**32 - 1).map(np.int64),
     st.integers(0, 255).map(np.uint8),
 )
+WIDE = st.one_of(
+    st.sampled_from([2**32, 2**63 - 1]),
+    st.integers(2**32, 2**63 - 1),
+    st.integers(2**32, 2**63 - 1).map(np.int64),
+    st.integers(2**32, 2**63 - 1).map(np.uint64),
+)
+
+
+@st.composite
+def pool_entropies(draw, width):
+    """An int (width None) or a tuple of ``width`` ints, some of them two
+    words long, with at most the four words of the pool."""
+    n = width or 1
+    wide = draw(st.sets(st.integers(0, n - 1), max_size=seeding.POOL_SIZE - n))
+    ints = tuple(draw(WIDE if i in wide else WORDS) for i in range(n))
+    return ints if width else ints[0]
 
 
 @st.composite
 def word_lists(draw):
-    """Lists of 1 to CHUNK + 1 words, or of tuples of 1 to 6 words (the pool
-    holds 4) all of one length: the lists taken in one array pass.  A few
-    drawn entropies repeat through the list, and every seventh one counts
-    up, as the (seed, i) of run i does."""
+    """Lists of 1 to CHUNK + 1 ints, or of tuples of 1 to 4 ints all of one
+    length, each entropy at most four words: the lists taken in one array
+    pass.  One- and two-word ints mix in a column.  A few drawn entropies
+    repeat through the list, and every seventh one counts up, as the
+    (seed, i) of run i does."""
     size = draw(st.integers(1, seeding.CHUNK + 1))
-    width = draw(st.sampled_from([None, 1, 2, 2, 3, 4, 5, 6]))
-    entropy = WORDS if width is None else st.tuples(*[WORDS] * width)
-    drawn = draw(st.lists(entropy, min_size=1, max_size=8))
+    width = draw(st.sampled_from([None, 1, 2, 2, 3, 4]))
+    drawn = draw(st.lists(pool_entropies(width), min_size=1, max_size=8))
 
     def counted(i):
         return i if width is None else (*drawn[0][:-1], i)
@@ -73,19 +91,22 @@ def word_lists(draw):
 
 
 @contextlib.contextmanager
-def words_appended():
-    """Count the entropies split into words one at a time."""
-    spy = mock.Mock(wraps=seeding._append_words)
-    with mock.patch.object(seeding, "_append_words", spy):
-        yield spy
+def seed_sequences_built():
+    """Count the calls of numpy's default_rng and SeedSequence."""
+    rng = mock.Mock(wraps=np.random.default_rng)
+    seq = mock.Mock(wraps=np.random.SeedSequence)
+    with mock.patch.object(np.random, "default_rng", rng), mock.patch.object(
+        np.random, "SeedSequence", seq
+    ):
+        yield lambda: rng.call_count + seq.call_count
 
 
 @given(word_lists())
 @settings(max_examples=60, deadline=None)
 def test_word_lists_match_numpy_in_one_pass(batch):
-    with words_appended() as appended:
+    with seed_sequences_built() as built:
         got = generate_states(batch)
-    assert appended.call_count == 0
+        assert built() == 0
     expected = [np.random.SeedSequence(e).generate_state(4, np.uint64).tolist() for e in batch]
     assert got.dtype == np.uint64 and got.flags.c_contiguous
     assert got.tolist() == expected
@@ -98,7 +119,7 @@ def test_word_lists_match_numpy_in_one_pass(batch):
         [True, False, 7],
         [(0, 1), (np.True_, 2)],  # a numpy bool is not an int to it
         [np.True_],
-        [(0, 1), (2**32, 1)],
+        [(0, 1), (2**32, 1)],  # the array pass, rows of two and three words
         [5, 2**32, 2**64 - 1, 2**64],
         [(0, 1), (2,), (3, 4)],
         [(0, 1), ((2, 3), 4)],
@@ -108,6 +129,9 @@ def test_word_lists_match_numpy_in_one_pass(batch):
         [3, -(2**70), 2.0],
         [(0, 1), (1.0, 2), (-1, 2)],
         [np.uint64(2**64 - 1), np.int64(-1)],
+        [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)],
+        [(0, 1, 2), (2**32, 2**32, 1)],  # five words in the second row
+        [2**63 - 1, 2**63],
     ],
 )
 def test_other_lists_fall_back_to_numpys_states_and_errors(batch):
@@ -124,11 +148,14 @@ def test_other_lists_fall_back_to_numpys_states_and_errors(batch):
 
 
 def test_run_and_trial_seeds_are_never_split_one_by_one():
-    with words_appended() as appended:
-        generate_states([(2**32 - 1, i) for i in range(seeding.CHUNK + 1)])
+    spectrum = SyntheticSpectrum((-0.5, 0.9), (0.8, 0.2))
+    with seed_sequences_built() as built:
+        for seed in (2**32 - 1, 2**32, 2**63 - 1):
+            generate_states([(seed, i) for i in range(seeding.CHUNK + 1)])
         simulate_parallel_rus(32, "Z", 1e-8, CFG, "adaptive", runs=30, seed=9)
-        multilevel_qcels(SyntheticSpectrum((-0.5, 0.9), (0.8, 0.2)), 0.05, seeds=range(30))
-    assert appended.call_count == 0
+        multilevel_qcels(spectrum, 0.05, seeds=range(30))
+        multilevel_qcels(spectrum, 0.05, seeds=[2**63 - 1, 2**32, 7])
+        assert built() == 0
 
 
 @given(
@@ -176,17 +203,6 @@ def test_states_are_computed_a_chunk_at_a_time():
     assert len(pulled) == len(rest) + 1 == seeding.CHUNK + 3
     expected = np.random.SeedSequence((7, seeding.CHUNK + 2)).generate_state(4, np.uint64)
     assert rest[-1].tolist() == expected.tolist()
-
-
-@contextlib.contextmanager
-def seed_sequences_built():
-    """Count the calls of numpy's default_rng and SeedSequence."""
-    rng = mock.Mock(wraps=np.random.default_rng)
-    seq = mock.Mock(wraps=np.random.SeedSequence)
-    with mock.patch.object(np.random, "default_rng", rng), mock.patch.object(
-        np.random, "SeedSequence", seq
-    ):
-        yield lambda: rng.call_count + seq.call_count
 
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])
